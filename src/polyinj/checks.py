@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from . import gl2, injectivity
 from .characters import Character, PeelError, frobenius_twist, min_last_entry, peel_into_basis
 from .schur import (
+    _schur_ssyt,
     compositions,
     h_character,
     partitions,
@@ -50,28 +51,34 @@ _MAX_RECORDED = 5
 
 @dataclass
 class SuiteResult:
+    """Instance count, true failure count, and the first few failure
+    messages of one suite."""
+
     name: str
     instances: int = 0
     failures: list = field(default_factory=list)
+    failure_count: int = 0
 
     @property
     def ok(self):
-        return not self.failures
+        return not self.failure_count
 
     def count(self):
         self.instances += 1
 
     def fail(self, message):
+        self.failure_count += 1
         if len(self.failures) < _MAX_RECORDED:
             self.failures.append(message)
-        else:
-            self.failures = self.failures[:_MAX_RECORDED]
 
     def summary(self):
         status = "ok  " if self.ok else "FAIL"
         line = "%s  %-28s %7d instances" % (status, self.name, self.instances)
         for f in self.failures:
             line += "\n      " + f
+        dropped = self.failure_count - len(self.failures)
+        if dropped:
+            line += "\n      ... and %d more" % dropped
         return line
 
 
@@ -205,14 +212,18 @@ def check_character_ring(deg_max=10, n_max=4, samples=25, seed=0):
 
 
 def check_schur_agreement(deg_max=12, n_max=4):
-    """Tableau and Jacobi-Trudi Schur characters agree."""
+    """The Schur character (the closed form at rank 2) agrees with both the
+    tableau and the Jacobi-Trudi routes at every rank."""
     res = SuiteResult("schur-agreement")
     for n in range(1, n_max + 1):
         for r in range(deg_max + 1):
             for lam in partitions(r, n):
                 res.count()
-                if schur_character(lam) != schur_character_jt(lam):
-                    res.fail("tableaux vs determinant disagree at %r" % (lam,))
+                chi = schur_character(lam)
+                if chi != _schur_ssyt(lam):
+                    res.fail("schur_character vs tableaux disagree at %r" % (lam,))
+                if chi != schur_character_jt(lam):
+                    res.fail("schur_character vs determinant disagree at %r" % (lam,))
     return res
 
 
@@ -323,7 +334,8 @@ def check_sympow_recursion(r_max=60, grid=PARAM_GRID):
 
 def check_peeling_soundness(deg_max=40, grid=PARAM_GRID):
     """Decomposing Schur characters into simple characters never goes
-    negative, reconstructs, is unitriangular, and respects dominance."""
+    negative, reconstructs, is unitriangular, respects dominance, and
+    peeling agrees with the row of the gl2 decomposition table."""
     res = SuiteResult("peeling-soundness")
     for params in grid:
         for tau in _weights2(deg_max):
@@ -343,6 +355,8 @@ def check_peeling_soundness(deg_max=40, grid=PARAM_GRID):
                     res.fail("tau=%r %s: factor %r not below in dominance" % (tau, params, lam))
             if total != schur_character(tau):
                 res.fail("tau=%r %s: factors do not reconstruct" % (tau, params))
+            if factors != gl2._decomposition_at_degree(tau.degree(), params)[tau]:
+                res.fail("tau=%r %s: peeling and the decomposition table disagree" % (tau, params))
     return res
 
 
@@ -513,6 +527,6 @@ def run_all(deg_max=20, grid=PARAM_GRID):
             results.append(step(deg_max))
         except Exception as exc:  # a crashed suite must not kill the report
             crashed = SuiteResult(name)
-            crashed.fail("suite crashed: %s" % exc)
+            crashed.fail("suite crashed: %s: %s" % (type(exc).__name__, exc))
             results.append(crashed)
     return results

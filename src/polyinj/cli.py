@@ -337,12 +337,16 @@ def cmd_table(args, out):
     params = parse_params(args)
     if args.deg_max < 0:
         raise UsageError("--deg-max must be nonnegative")
+    if args.gm_max < 0:
+        raise UsageError("--gm-max must be nonnegative")
     rows = table_rows(args.deg_max, params, gm_max=args.gm_max)
     out.write(render_table(rows, args.format, gm_max=args.gm_max))
     return 0
 
 
 def cmd_selfcheck(args, out):
+    if args.deg_max < 0:
+        raise UsageError("--deg-max must be nonnegative")
     if (args.l is None) != (args.p is None):
         raise UsageError("give both --l and --p, or neither")
     if args.l is not None:

@@ -11,6 +11,20 @@ symmetric power), and the layers are Frobenius-twisted by 1, e, e*p,
 e*p^2, ...  In characteristic zero the layer under the twist is semisimple
 and contributes a single Schur character.
 
+Vectors.  Every rank-2 character the oracles handle is homogeneous of
+some degree r and symmetric, so inside this module it is an integer
+coefficient vector v of length r + 1 with v[k] the coefficient of
+x^(r-k) y^k.  The Schur character of (a, b), and hence a digit character,
+is a run of ones on [b, a]; the Frobenius twist by f spreads the entries
+f apart; a product is a convolution.  Decomposing the Schur characters of
+one degree into simple characters is a single triangular sweep over the
+dominant half k <= r//2, costing O(r) per row and per composition factor
+found, so the whole decomposition table stays cheap far beyond degree
+1000.  Tableau enumeration and dict-based peeling are left to the
+verification suites, as oracles for this path.  The public functions
+still take and return :class:`Character` values and dicts keyed by
+:class:`Weight`.
+
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
 characters alone (decomposition of Schur characters into simple
@@ -23,9 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Optional
 
-from .characters import Character, frobenius_twist, peel_into_basis
+from .characters import Character, PeelError, frobenius_twist, peel_into_basis
 from .schur import h_character, partitions, schur_character
 from .weights import GroupParams, Weight, digit_expansion, eadic_split, omega
 
@@ -56,28 +71,51 @@ def partitions2(r):
 # characters
 
 
-def _digit_character(d):
-    """Character of the simple module with column-regular highest weight d."""
-    return Character.monomial((d[1], d[1])) * h_character(d[0] - d[1], 2)
+def _schur_vector(lam):
+    """Coefficient vector of the Schur character of (a, b): ones on [b, a].
+    For a column-regular digit this is also its simple character."""
+    a, b = lam
+    return [0] * b + [1] * (a - b + 1) + [0] * b
+
+
+def _twisted_product(under, factor, lam0):
+    """Coefficient vector of s_lam0 times the Frobenius twist of ``under`` by
+    ``factor`` (which spreads its entries ``factor`` apart): one strided
+    add of ``under`` per monomial of the run of ones on [lam0_2, lam0_1]."""
+    a, b = lam0
+    span = (len(under) - 1) * factor + 1
+    out = [0] * (span + a + b)
+    for i in range(b, a + 1):
+        out[i:i + span:factor] = map(add, out[i:i + span:factor], under)
+    return out
+
+
+def _vector_character(vec):
+    """The :class:`Character` of a coefficient vector."""
+    r = len(vec) - 1
+    return Character(2, {(r - k, k): c for k, c in enumerate(vec) if c})
 
 
 def simple_character(lam, params):
     """Character of the simple module of highest weight ``lam``."""
-    return _simple_character(_check_weight(lam), params)
+    return _vector_character(_simple_character(_check_weight(lam), params))
 
 
 @lru_cache(maxsize=None)
 def _simple_character(lam, params):
-    exp = digit_expansion(lam, params)
-    out = _digit_character(exp.quantum_digit)
+    """Coefficient vector (a tuple) of the simple character of ``lam``, by
+    the tensor product theorem: the digit character of lam0 times the
+    Frobenius twist by e of the layer underneath, for lam = lam0 + e*lbar.
+    That layer is the simple character of lbar at the classical parameters,
+    or in characteristic zero the Schur character of lbar."""
+    lam0, lbar = eadic_split(lam, params.e)
     if params.p == 0:
-        out = out * frobenius_twist(schur_character(exp.classical_digits[0]), params.e)
+        under = _schur_vector(lbar)
+    elif any(lbar):
+        under = _simple_character(lbar, params.classical())
     else:
-        factor = params.e
-        for d in exp.classical_digits:
-            out = out * frobenius_twist(_digit_character(d), factor)
-            factor *= params.p
-    return out
+        under = (1,)
+    return tuple(_twisted_product(under, params.e, lam0))
 
 
 def sympow_character_recursive(r, params):
@@ -121,9 +159,39 @@ def _sympow_recursive(r, params):
 @lru_cache(maxsize=None)
 def _decomposition_at_degree(r, params):
     """For each partition tau of r: the simple multiplicities of the induced
-    module of highest weight tau, by peeling its Schur character."""
-    basis = lambda w: simple_character(w, params)
-    return {tau: peel_into_basis(schur_character(tau), basis) for tau in partitions2(r)}
+    module of highest weight tau.
+
+    One triangular sweep over the dominant half k <= r//2.  The row of
+    tau = (r-t, t) starts as its Schur vector there, the indicator of
+    [t, r//2]; walking the pivot j upward, its entry m is the multiplicity
+    of the simple of highest weight (r-j, j), whose vector (zero below j)
+    is subtracted m times.  Like :func:`peel_into_basis`, which stays as
+    this sweep's oracle, it raises :class:`PeelError` on a negative pivot
+    and on a simple whose coefficient at its own pivot is not one.
+    """
+    h = r // 2
+    taus = partitions2(r)  # taus[t] = (r-t, t)
+    table = {}
+    for t in range(h + 1):
+        row = [0] * t + [1] * (h + 1 - t)
+        factors = {}
+        for j in range(t, h + 1):
+            m = row[j]
+            if not m:
+                continue
+            pivot = taus[j]
+            if m < 0:
+                raise PeelError(
+                    "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, m)
+                )
+            simple = _simple_character(pivot, params)
+            if simple[j] != 1:
+                raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
+            step = simple[j:h + 1] if m == 1 else [m * y for y in simple[j:h + 1]]
+            row[j:] = map(sub, row[j:], step)
+            factors[pivot] = m
+        table[taus[t]] = factors
+    return table
 
 
 def decomposition_number(tau, lam, params):
@@ -151,11 +219,10 @@ def injective_character(lam, params):
     return out
 
 
-@lru_cache(maxsize=None)
 def _sympow_simple_factors(r, params):
-    """Simple multiplicities of the r-th symmetric power of the natural module."""
-    basis = lambda w: simple_character(w, params)
-    return peel_into_basis(h_character(r, 2), basis)
+    """Simple multiplicities of the r-th symmetric power of the natural
+    module: the row (r, 0) of the decomposition table, as h_r = s_(r,0)."""
+    return _decomposition_at_degree(r, params)[Weight((r, 0))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Schur characters are computed two independent ways: by enumerating
 semistandard tableaux, and by the Jacobi-Trudi determinant in complete
-homogeneous characters.  Pieri products of a Schur character with a
-complete homogeneous character and good-filtration multiplicities of
-tensor products of symmetric powers are built on top.
+homogeneous characters.  At rank 2 :func:`schur_character` uses the
+closed form instead (s_(a,b) is the run of monomials x^(a+b-k) y^k for
+b <= k <= a), and both routes stay as its oracles.  Pieri products of a
+Schur character with a complete homogeneous character and good-filtration
+multiplicities of tensor products of symmetric powers are built on top.
 """
 
 from __future__ import annotations
@@ -73,9 +75,14 @@ def _check_partition(lam):
 
 
 def schur_character(lam):
-    """Schur character of ``lam`` in ``lam.n`` variables, by summing the
-    content monomials of all semistandard tableaux of shape ``lam``."""
-    return _schur_ssyt(_check_partition(lam))
+    """Schur character of ``lam`` in ``lam.n`` variables: the rank-2 closed
+    form, else the sum of the content monomials of all semistandard
+    tableaux of shape ``lam``."""
+    lam = _check_partition(lam)
+    if lam.n == 2:
+        a, b = lam
+        return Character(2, {(a + b - k, k): 1 for k in range(b, a + 1)})
+    return _schur_ssyt(lam)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 from polyinj import checks, gl2
 from polyinj.cli import main, render_table, table_row_from_json, table_rows
@@ -90,6 +91,16 @@ def test_usage_errors_exit_one():
     assert run(["divind", "--weight", "3,1,0", "--l", "1", "--p", "2"])[0] == 1
     assert run(["nonsense"])[0] == 1
     assert run(["classify", "--weight", "1,2", "--l", "1", "--p", "2"])[0] == 1
+    assert run(["selfcheck", "--deg-max", "-1"])[0] == 1
+    assert run(["table", "--deg-max", "2", "--l", "1", "--p", "2", "--gm-max", "-1"])[0] == 1
+
+
+def test_classify_check_reach():
+    """The oracles at degree 500 answer in seconds."""
+    t0 = time.perf_counter()
+    rc, out = run(["classify", "--weight", "400,100", "--l", "1", "--p", "2", "--check"])
+    assert rc == 0 and "oracle_checked: true" in out
+    assert time.perf_counter() - t0 < 10
 
 
 def test_table_single_row():
@@ -158,6 +169,29 @@ def test_selfcheck_reports_corrupted_closed_form(monkeypatch):
     rc, out = run(["selfcheck", "--deg-max", "3", "--l", "1", "--p", "2"])
     assert rc == 2
     assert any(line.startswith("FAIL") and "divind-equivalence" in line for line in out.split("\n"))
+
+
+def test_suite_result_counts_every_failure():
+    res = checks.SuiteResult("demo")
+    for i in range(8):
+        res.fail("failure %d" % i)
+    assert not res.ok and res.failure_count == 8 and len(res.failures) == 5
+    assert res.summary().endswith("failure 4\n      ... and 3 more")
+    few = checks.SuiteResult("demo")
+    few.fail("only one")
+    assert "more" not in few.summary()
+    clean = checks.SuiteResult("demo", instances=3)
+    assert clean.ok and clean.summary() == "ok    demo                               3 instances"
+
+
+def test_crashed_suite_names_the_exception(monkeypatch):
+    def boom(*args, **kwargs):
+        raise KeyError("no such table")
+
+    monkeypatch.setattr(checks, "check_table_determinism", boom)
+    crashed = checks.run_all(deg_max=0, grid=(GroupParams(1, 2),))[-1]
+    assert crashed.name == "table-determinism"
+    assert crashed.failures == ["suite crashed: KeyError: 'no such table'"]
 
 
 def test_oracle_mismatch_exit_code(monkeypatch):

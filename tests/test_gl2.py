@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from polyinj.characters import Character, min_last_entry
+from polyinj import checks, gl2
+from polyinj.characters import Character, PeelError, min_last_entry, peel_into_basis
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
     TOP_DIGIT_SMALL,
@@ -90,6 +93,49 @@ def test_decomposition_numbers():
     assert decomposition_number(W(6, 1), W(4, 3), P22) == 1
     # degree mismatch gives zero
     assert decomposition_number(W(3, 0), W(1, 1), P12) == 0
+
+
+def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
+    """The vector sweep refuses a negative pivot and a simple whose leading
+    coefficient is not one, as peel_into_basis does."""
+    original = gl2._simple_character
+
+    def corrupt(bad):
+        def simple(lam, params):
+            return bad if lam == (4, 0) else original(lam, params)
+        return simple
+
+    for bad in ((1, 1, 2, 1, 1), (2, 0, 0, 0, 2)):
+        gl2._decomposition_at_degree.cache_clear()
+        monkeypatch.setattr(gl2, "_simple_character", corrupt(bad))
+        with pytest.raises(PeelError):
+            gl2._decomposition_at_degree(4, P12)
+    monkeypatch.undo()
+    original.cache_clear()
+    gl2._decomposition_at_degree.cache_clear()
+    assert gl2._decomposition_at_degree(4, P12)[W(4, 0)] == {W(4, 0): 1, W(3, 1): 1, W(2, 2): 1}
+
+
+def test_peeling_soundness_wide_grid():
+    """Peeling agrees with the decomposition table over the parameter grid,
+    composite l, p = 7 and characteristic zero, up to degree 60."""
+    extra = (GroupParams(4, 2), GroupParams(6, 3), GroupParams(9, 2), GroupParams(1, 7),
+             GroupParams(5, 7), GroupParams(4, 0), GroupParams(2, 2), GroupParams(3, 3))
+    result = checks.check_peeling_soundness(60, checks.PARAM_GRID + extra)
+    assert result.ok, result.failures
+
+
+def test_decomposition_table_reach():
+    """The whole degree-1000 table is one sweep: it builds in seconds, and
+    its rows agree with dict-based peeling."""
+    params = GroupParams(5, 7)
+    t0 = time.perf_counter()
+    table = gl2._decomposition_at_degree(1000, params)
+    assert time.perf_counter() - t0 < 10
+    assert len(table) == 501
+    basis = lambda w: simple_character(w, params)
+    for tau in (W(1000, 0), W(700, 300), W(500, 500)):
+        assert table[tau] == peel_into_basis(schur_character(tau), basis)
 
 
 def test_injective_character_examples():
