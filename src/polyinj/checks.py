@@ -2,8 +2,9 @@
 
 Each suite pits a closed form against an independent oracle (or checks a
 structural identity) over a full grid of weights and parameter sets, and
-reports the instance count plus the first few counterexamples.  The
-suites back both the acceptance tests and the ``selfcheck`` CLI command.
+reports the instance count plus the first few counterexamples.  Each
+suite is declared once, in :data:`SUITES`, which drives both the
+``selfcheck`` CLI command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -45,6 +46,38 @@ KERNEL_GRID = (
     GroupParams(3, 2),
     GroupParams(3, 3),
 )
+
+# The registry: every suite once, as (name, default degree bound, grid),
+# in selfcheck order.  The grid is None for suites that take none,
+# "params" for the run's (l, p) grid and "kernel" for its positive-p part.
+# ``check_<name>`` is looked up when the suite runs, never stored here.
+SUITES = (
+    ("eadic-roundtrip", 30, None),
+    ("dominance-order", 12, None),
+    ("digit-expansion", 30, "params"),
+    ("character-ring", 10, None),
+    ("schur-agreement", 12, None),
+    ("pieri-products", 10, None),
+    ("sym-tensor-support", 8, None),
+    ("divind-equivalence", 40, "params"),
+    ("criticality-equivalence", 40, "params"),
+    ("injectivity-equivalence", 40, "params"),
+    ("sympow-recursion", 60, "params"),
+    ("peeling-soundness", 40, "params"),
+    ("simple-divind", 20, "params"),
+    ("divisibility-shift", 20, "params"),
+    ("standard-form", 20, "params"),
+    ("necessary-inequality", 30, "params"),
+    ("higher-kernels", 20, "kernel"),
+    ("criterion-layer", 40, "params"),
+    ("table-determinism", 15, None),
+)
+
+N_MAX = 4  # highest rank of the rank-generic suites
+EADIC_BASES = (2, 3, 5)
+RING_SAMPLES = 25  # random pairs per rank in character-ring
+RING_SEED = 0
+KERNEL_M_MAX = 3  # deepest kernel pair (m, m+1) in higher-kernels
 
 _MAX_RECORDED = 5
 
@@ -91,14 +124,19 @@ def _weights2(deg_max):
 # weight combinatorics
 
 
-def check_eadic_roundtrip(deg_max=30, n_max=4, bases=(2, 3, 5)):
+def check_eadic_roundtrip(deg_max):
     """The digit split is the unique column-regular decomposition (checked
     against exhaustive candidate enumeration) and reconstructs the weight."""
     res = SuiteResult("eadic-roundtrip")
-    for n in range(1, n_max + 1):
-        for e in bases:
+    for n in range(1, N_MAX + 1):
+        for e in EADIC_BASES:
             # all column-regular candidates, parametrized by differences
-            boxes = list(itertools.product(range(e), repeat=n))
+            # (box = last entry, then differences bottom-up) and bucketed
+            # by their residues mod e in enumeration order
+            buckets = {}
+            for box in itertools.product(range(e), repeat=n):
+                cand = Weight(list(itertools.accumulate(box))[::-1])
+                buckets.setdefault(tuple(a % e for a in cand), []).append(cand)
             for r in range(deg_max + 1):
                 for lam in partitions(r, n):
                     res.count()
@@ -108,24 +146,16 @@ def check_eadic_roundtrip(deg_max=30, n_max=4, bases=(2, 3, 5)):
                         continue
                     if not (lbar.is_dominant() and lbar.is_polynomial()):
                         res.fail("quotient of %r base %d not a partition: %r" % (lam, e, lbar))
-                    matches = []
-                    for box in boxes:
-                        # box = (last entry, then differences bottom-up)
-                        cand = [box[0]]
-                        for g in box[1:]:
-                            cand.append(cand[-1] + g)
-                        cand = Weight(cand[::-1])
-                        if all((a - b) % e == 0 for a, b in zip(lam, cand)):
-                            matches.append(cand)
+                    matches = buckets.get(tuple(a % e for a in lam), [])
                     if matches != [lam0]:
                         res.fail("split of %r base %d: got %r, candidates %r" % (lam, e, lam0, matches))
     return res
 
 
-def check_dominance_order(deg_max=12, n_max=4):
+def check_dominance_order(deg_max):
     """Dominance is a partial order on each degree slice, refined by lex."""
     res = SuiteResult("dominance-order")
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         for r in range(deg_max + 1):
             slice_ = partitions(r, n)
             for lam in slice_:
@@ -144,12 +174,12 @@ def check_dominance_order(deg_max=12, n_max=4):
     return res
 
 
-def check_digit_expansion(deg_max=30, n_max=4, grid=PARAM_GRID):
+def check_digit_expansion(deg_max, grid):
     """Every digit is column-regular for its base and the expansion
     reconstructs the weight."""
     res = SuiteResult("digit-expansion")
     for params in grid:
-        for n in range(1, n_max + 1):
+        for n in range(1, N_MAX + 1):
             for r in range(deg_max + 1):
                 for lam in partitions(r, n):
                     res.count()
@@ -170,23 +200,23 @@ def check_digit_expansion(deg_max=30, n_max=4, grid=PARAM_GRID):
 # character ring
 
 
-def check_character_ring(deg_max=10, n_max=4, samples=25, seed=0):
+def check_character_ring(deg_max):
     """Ring sanity on sampled Schur characters: divisibility additivity on
     products, commutativity and twist multiplicativity on smaller ones, and
     the agreement of the weight-level and factor-level divisibility
     readings through simple-basis peeling."""
     res = SuiteResult("character-ring")
-    rng = random.Random(seed)
-    for n in range(2, n_max + 1):
+    rng = random.Random(RING_SEED)
+    for n in range(2, N_MAX + 1):
         pool = [lam for r in range(deg_max + 1) for lam in partitions(r, n)]
         small = [lam for lam in pool if lam.degree() <= min(deg_max, 5)]
-        for _ in range(samples):
+        for _ in range(RING_SAMPLES):
             lam, mu = rng.choice(pool), rng.choice(pool)
             res.count()
             a, b = schur_character(lam), schur_character(mu)
             if min_last_entry(a * b) != min_last_entry(a) + min_last_entry(b):
                 res.fail("divisibility not additive at %r, %r" % (lam, mu))
-        for _ in range(samples):
+        for _ in range(RING_SAMPLES):
             lam, mu = rng.choice(small), rng.choice(small)
             res.count()
             a, b = schur_character(lam), schur_character(mu)
@@ -211,11 +241,11 @@ def check_character_ring(deg_max=10, n_max=4, samples=25, seed=0):
 # Schur machinery
 
 
-def check_schur_agreement(deg_max=12, n_max=4):
+def check_schur_agreement(deg_max):
     """The Schur character (the closed form at rank 2) agrees with both the
     tableau and the Jacobi-Trudi routes at every rank."""
     res = SuiteResult("schur-agreement")
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         for r in range(deg_max + 1):
             for lam in partitions(r, n):
                 res.count()
@@ -227,11 +257,11 @@ def check_schur_agreement(deg_max=12, n_max=4):
     return res
 
 
-def check_pieri_products(deg_max=10, n_max=4):
+def check_pieri_products(deg_max):
     """s_lam * h_r equals the multiplicity-free sum over the horizontal-strip
     expansion."""
     res = SuiteResult("pieri-products")
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         for d in range(deg_max + 1):
             for lam in partitions(d, n):
                 for r in range(deg_max - d + 1):
@@ -247,14 +277,14 @@ def check_pieri_products(deg_max=10, n_max=4):
     return res
 
 
-def check_sym_tensor_support(r_max=8, n_max=4):
+def check_sym_tensor_support(deg_max):
     """The m-fold symmetric-power tensor products of degree r contain the
     induced module of highest weight lam iff lam has at most m nonzero
     parts."""
     res = SuiteResult("sym-tensor-support")
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         for m in range(1, n + 1):
-            for r in range(r_max + 1):
+            for r in range(deg_max + 1):
                 alphas = compositions(r, m)
                 for lam in partitions(r, n):
                     res.count()
@@ -269,7 +299,7 @@ def check_sym_tensor_support(r_max=8, n_max=4):
 # rank-2 closed forms vs oracles
 
 
-def check_divind_equivalence(deg_max=40, grid=PARAM_GRID):
+def check_divind_equivalence(deg_max, grid):
     """Closed-form divisibility index equals the good-filtration oracle."""
     res = SuiteResult("divind-equivalence")
     for params in grid:
@@ -286,7 +316,7 @@ def check_divind_equivalence(deg_max=40, grid=PARAM_GRID):
     return res
 
 
-def check_criticality_equivalence(deg_max=40, grid=PARAM_GRID):
+def check_criticality_equivalence(deg_max, grid):
     """Digit criticality test = symmetric-power oracle = (divind == 0)."""
     res = SuiteResult("criticality-equivalence")
     for params in grid:
@@ -307,7 +337,7 @@ def check_criticality_equivalence(deg_max=40, grid=PARAM_GRID):
     return res
 
 
-def check_injectivity_equivalence(deg_max=40, grid=PARAM_GRID):
+def check_injectivity_equivalence(deg_max, grid):
     """Digit injectivity test = index-inequality test with oracle input."""
     res = SuiteResult("injectivity-equivalence")
     for params in grid:
@@ -320,19 +350,19 @@ def check_injectivity_equivalence(deg_max=40, grid=PARAM_GRID):
     return res
 
 
-def check_sympow_recursion(r_max=60, grid=PARAM_GRID):
+def check_sympow_recursion(deg_max, grid):
     """Layer recursion for symmetric-power characters equals the plain
     complete homogeneous character."""
     res = SuiteResult("sympow-recursion")
     for params in grid:
-        for r in range(r_max + 1):
+        for r in range(deg_max + 1):
             res.count()
             if gl2.sympow_character_recursive(r, params) != h_character(r, 2):
                 res.fail("degree %d at %s" % (r, params))
     return res
 
 
-def check_peeling_soundness(deg_max=40, grid=PARAM_GRID):
+def check_peeling_soundness(deg_max, grid):
     """Decomposing Schur characters into simple characters never goes
     negative, reconstructs, is unitriangular, respects dominance, and
     peeling agrees with the row of the gl2 decomposition table."""
@@ -360,7 +390,7 @@ def check_peeling_soundness(deg_max=40, grid=PARAM_GRID):
     return res
 
 
-def check_simple_divind(deg_max=20, grid=PARAM_GRID):
+def check_simple_divind(deg_max, grid):
     """Simple and induced characters both have divisibility index lam_2."""
     res = SuiteResult("simple-divind")
     for params in grid:
@@ -373,7 +403,7 @@ def check_simple_divind(deg_max=20, grid=PARAM_GRID):
     return res
 
 
-def check_divisibility_shift(deg_max=20, grid=PARAM_GRID):
+def check_divisibility_shift(deg_max, grid):
     """divind <= degree/2, and the injective character splits off exactly
     divind determinant factors."""
     res = SuiteResult("divisibility-shift")
@@ -395,7 +425,7 @@ def check_divisibility_shift(deg_max=20, grid=PARAM_GRID):
     return res
 
 
-def check_standard_form(deg_max=20, grid=PARAM_GRID):
+def check_standard_form(deg_max, grid):
     """For every infinitesimally injective weight the standard form
     reconstructs the weight, its first factor sits at the Steinberg edge,
     and its character product equals the injective character."""
@@ -419,7 +449,7 @@ def check_standard_form(deg_max=20, grid=PARAM_GRID):
     return res
 
 
-def check_necessary_inequality(deg_max=30, grid=PARAM_GRID):
+def check_necessary_inequality(deg_max, grid):
     """No infinitesimally injective weight violates the necessary inequality
     for any partition contributing to the quotient-layer injective."""
     res = SuiteResult("necessary-inequality")
@@ -438,21 +468,21 @@ def check_necessary_inequality(deg_max=30, grid=PARAM_GRID):
     return res
 
 
-def check_higher_kernels(deg_max=20, grid=KERNEL_GRID, m_max=3):
+def check_higher_kernels(deg_max, grid):
     """Injectivity over the (m+1)-th Frobenius kernel implies injectivity
     over the m-th."""
     res = SuiteResult("higher-kernels")
     for params in grid:
         for lam in _weights2(deg_max):
-            flags = [gl2.is_gm_injective(lam, m, params) for m in range(1, m_max + 2)]
-            for m in range(m_max):
+            flags = [gl2.is_gm_injective(lam, m, params) for m in range(1, KERNEL_M_MAX + 2)]
+            for m in range(KERNEL_M_MAX):
                 res.count()
                 if flags[m + 1] and not flags[m]:
                     res.fail("lam=%r %s: kernel %d injective but %d not" % (lam, params, m + 2, m + 1))
     return res
 
 
-def check_criterion_layer(deg_max=40, grid=PARAM_GRID):
+def check_criterion_layer(deg_max, grid):
     """The rank-generic inequality, fed with the oracle divisibility index
     of the quotient layer, matches the rank-2 digit test; and the Steinberg
     range condition is sufficient for it."""
@@ -480,7 +510,7 @@ def check_criterion_layer(deg_max=40, grid=PARAM_GRID):
     return res
 
 
-def check_table_determinism(deg_max=15):
+def check_table_determinism(deg_max):
     """Rendering the classification table twice gives identical bytes."""
     from .cli import render_table, table_rows
 
@@ -495,38 +525,25 @@ def check_table_determinism(deg_max=15):
     return res
 
 
+def run_suite(suite, deg_max, grid):
+    """Run one registry entry with its degree bound capped at ``deg_max``
+    on the (l, p) pairs of ``grid``.  A suite blowing up is itself a
+    failure, reported under the suite's name."""
+    name, bound, kind = suite
+    args = (min(deg_max, bound),)
+    if kind == "params":
+        args += (grid,)
+    elif kind == "kernel":
+        args += (tuple(p for p in grid if p.p > 0) or KERNEL_GRID,)
+    try:
+        return globals()["check_" + name.replace("-", "_")](*args)
+    except Exception as exc:  # a crashed suite must not kill the report
+        crashed = SuiteResult(name)
+        crashed.fail("suite crashed: %s: %s" % (type(exc).__name__, exc))
+        return crashed
+
+
 def run_all(deg_max=20, grid=PARAM_GRID):
-    """Run every suite, capping each one's default degree range at
-    ``deg_max``.  A suite blowing up is itself a failure, reported under
-    the suite's name.  Returns the list of :class:`SuiteResult`."""
-    kernel_grid = tuple(p for p in grid if p.p > 0) or KERNEL_GRID
-    plan = (
-        ("eadic-roundtrip", lambda d: check_eadic_roundtrip(min(d, 30))),
-        ("dominance-order", lambda d: check_dominance_order(min(d, 12))),
-        ("digit-expansion", lambda d: check_digit_expansion(min(d, 30), grid=grid)),
-        ("character-ring", lambda d: check_character_ring(min(d, 10))),
-        ("schur-agreement", lambda d: check_schur_agreement(min(d, 12))),
-        ("pieri-products", lambda d: check_pieri_products(min(d, 10))),
-        ("sym-tensor-support", lambda d: check_sym_tensor_support(min(d, 8))),
-        ("divind-equivalence", lambda d: check_divind_equivalence(min(d, 40), grid)),
-        ("criticality-equivalence", lambda d: check_criticality_equivalence(min(d, 40), grid)),
-        ("injectivity-equivalence", lambda d: check_injectivity_equivalence(min(d, 40), grid)),
-        ("sympow-recursion", lambda d: check_sympow_recursion(min(d, 60), grid)),
-        ("peeling-soundness", lambda d: check_peeling_soundness(min(d, 40), grid)),
-        ("simple-divind", lambda d: check_simple_divind(min(d, 20), grid)),
-        ("divisibility-shift", lambda d: check_divisibility_shift(min(d, 20), grid)),
-        ("standard-form", lambda d: check_standard_form(min(d, 20), grid)),
-        ("necessary-inequality", lambda d: check_necessary_inequality(min(d, 30), grid)),
-        ("higher-kernels", lambda d: check_higher_kernels(min(d, 20), kernel_grid)),
-        ("criterion-layer", lambda d: check_criterion_layer(min(d, 40), grid)),
-        ("table-determinism", lambda d: check_table_determinism(min(d, 15))),
-    )
-    results = []
-    for name, step in plan:
-        try:
-            results.append(step(deg_max))
-        except Exception as exc:  # a crashed suite must not kill the report
-            crashed = SuiteResult(name)
-            crashed.fail("suite crashed: %s: %s" % (type(exc).__name__, exc))
-            results.append(crashed)
-    return results
+    """Run every registered suite in order.  Returns the list of
+    :class:`SuiteResult`."""
+    return [run_suite(suite, deg_max, grid) for suite in SUITES]

@@ -24,9 +24,6 @@ from .characters import PeelError
 from .schur import partitions, schur_character
 from .weights import GroupParams, Weight, digit_expansion, eadic_split
 
-TABLE_ORACLE_LIMIT = 40
-
-
 class UsageError(ValueError):
     pass
 
@@ -127,7 +124,7 @@ def table_rows(deg_max, params, gm_max=0):
     rows = []
     for r in range(deg_max + 1):
         for lam in partitions(r, 2):
-            cls = gl2.classify(lam, params, oracle_degree_limit=TABLE_ORACLE_LIMIT)
+            cls = gl2.classify(lam, params)
             flags = []
             for m in range(1, gm_max + 1):
                 if params.p == 0 and m >= 2:
@@ -236,6 +233,8 @@ def cmd_char(args, out):
     elif kind == "sympow":
         # the degree is the entry sum of --weight; the character lives in rank 2
         params = parse_params(args)
+        if not lam.is_polynomial():
+            raise UsageError("sympow needs a weight with nonnegative entries")
         chi = gl2.sympow_character_recursive(lam.degree(), params)
     else:
         params = parse_params(args)
@@ -283,13 +282,13 @@ def cmd_classify(args, out):
     lam = parse_weight(args.weight)
     params = parse_params(args)
     if lam.n == 2:
-        limit = lam.degree() if args.check else TABLE_ORACLE_LIMIT
+        limit = lam.degree() if args.check else gl2.ORACLE_DEGREE_LIMIT
         cls = gl2.classify(lam, params, oracle_degree_limit=limit)
         if args.format == "json":
             row = TableRow(lam, params.l, params.p, cls.critical, cls.divind,
                            cls.inf_injective, (), cls.standard_form)
             obj = row.to_json_obj()
-            obj["oracle_checked"] = args.check or lam.degree() <= TABLE_ORACLE_LIMIT
+            obj["oracle_checked"] = args.check or lam.degree() <= gl2.ORACLE_DEGREE_LIMIT
             _emit(json.dumps(obj, indent=2, sort_keys=True), out)
             return 0
         lines = [
@@ -301,7 +300,7 @@ def cmd_classify(args, out):
         ]
         if cls.standard_form is not None:
             lines.append("standard_form: %s [%s]" % (cls.standard_form.rendered(), cls.standard_form.branch))
-        if args.check or lam.degree() <= TABLE_ORACLE_LIMIT:
+        if args.check or lam.degree() <= gl2.ORACLE_DEGREE_LIMIT:
             lines.append("oracle_checked: true")
         _emit("\n".join(lines), out)
         return 0

@@ -490,7 +490,12 @@ class Classification:
     standard_form: Optional[FactorizationDescriptor]
 
 
-def classify(lam, params, oracle_degree_limit=40):
+# default highest degree at which classify runs the character oracles,
+# shared by the CLI's classify and table
+ORACLE_DEGREE_LIMIT = 40
+
+
+def classify(lam, params, oracle_degree_limit=ORACLE_DEGREE_LIMIT):
     """Classify one weight, cross-checking the closed forms against the
     character oracles up to ``oracle_degree_limit`` (the oracles cost a
     full degree-r character decomposition; the closed forms are digit

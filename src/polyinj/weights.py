@@ -126,14 +126,34 @@ def dominance_leq(lam, mu):
     return True
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(m):
+    """Deterministic Miller-Rabin; raises ValueError at or above
+    ``_PRIME_LIMIT``, where the fixed bases no longer decide."""
+    if m >= _PRIME_LIMIT:
+        raise ValueError("primality is decided only below %d, got %d" % (_PRIME_LIMIT, m))
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for q in _PRIME_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,9 +1,10 @@
 """Acceptance suite: every verification gate at full desk scale.
 
-Each test runs one exhaustive suite (closed form against independent
-oracle, or a structural character identity) over the standard parameter
-grid and prints a PASS line.  All comparisons are exact integer or
-character equality; there are no tolerances anywhere.
+Every registered suite (closed form against independent oracle, or a
+structural character identity) runs at its registry bound over the
+standard parameter grid, through the same dispatch as ``selfcheck``, and
+prints a PASS line.  All comparisons are exact integer or character
+equality; there are no tolerances anywhere.
 """
 
 import os
@@ -11,11 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from polyinj import checks
 from polyinj.gl2 import is_gm_injective
 from polyinj.weights import GroupParams, Weight
 
-GRID = checks.PARAM_GRID  # (1,2) (1,3) (1,5) (2,3) (3,2) (2,0) (3,0)
+SUITES = {suite[0]: suite for suite in checks.SUITES}
 
 
 def _require(result):
@@ -23,85 +26,30 @@ def _require(result):
     print("PASS %s (%d instances)" % (result.name, result.instances))
 
 
-def test_divind_closed_form_matches_oracle():
-    """Digit closed form = good-filtration oracle, all weights of degree
-    up to 40, all seven parameter sets, exact."""
-    _require(checks.check_divind_equivalence(40, GRID))
+@pytest.mark.parametrize("suite", checks.SUITES, ids=[suite[0] for suite in checks.SUITES])
+def test_suite_at_registry_bound(suite):
+    """The suite at its registry bound over (l,p) in {(1,2),(1,3),(1,5),
+    (2,3),(3,2),(2,0),(3,0)}; higher-kernels on the positive-p pairs."""
+    _require(checks.run_suite(suite, suite[1], checks.PARAM_GRID))
 
 
-def test_criticality_closed_form_matches_oracle():
-    """Digit criticality = symmetric-power membership = (divind == 0),
-    degree up to 40, exact."""
-    _require(checks.check_criticality_equivalence(40, GRID))
-
-
-def test_injectivity_digit_test_matches_index_inequality():
-    """Digit injectivity test = index inequality with oracle input,
-    degree up to 40, exact."""
-    _require(checks.check_injectivity_equivalence(40, GRID))
-
-
-def test_sympow_recursion_matches_plain_character():
-    """Layer recursion for symmetric powers = complete homogeneous
-    character, degrees 0..60, every parameter set, exact."""
-    _require(checks.check_sympow_recursion(60, GRID))
-
-
-def test_peeling_soundness():
-    """Schur characters decompose into simple characters without ever
-    requesting a negative multiplicity, reconstruct exactly, are
-    unitriangular, and only involve dominance-smaller weights; degree up
-    to 40."""
-    _require(checks.check_peeling_soundness(40, GRID))
-
-
-def test_divisibility_bound_and_determinant_shift():
-    """divind <= degree/2 and the injective character factors off exactly
-    divind determinant characters; degree up to 20."""
-    _require(checks.check_divisibility_shift(20, GRID))
-
-
-def test_standard_form_reconstruction():
-    """Every infinitesimally injective weight's standard form reconstructs
-    the weight and its character product equals the injective character;
-    degree up to 20."""
-    _require(checks.check_standard_form(20, GRID))
-
-
-def test_necessary_inequality_for_injectives():
-    """No infinitesimally injective weight of degree up to 30 violates the
-    necessary inequality for any contributing classical partition."""
-    _require(checks.check_necessary_inequality(30, GRID))
-
-
-def test_sym_tensor_good_filtration_support():
-    """m-fold symmetric-power tensor products contain the induced module of
-    highest weight lam iff lam has at most m nonzero parts; ranks up to 4,
-    degree up to 8."""
-    _require(checks.check_sym_tensor_support(8, 4))
-
-
-def test_schur_tableaux_vs_jacobi_trudi():
-    """Tableau and determinant Schur characters agree, degree up to 12,
-    ranks up to 4."""
-    _require(checks.check_schur_agreement(12, 4))
+def test_registry_is_complete():
+    """Every public suite function is registered, and selfcheck runs the
+    registry in order."""
+    registered = {"check_" + name.replace("-", "_") for name in SUITES}
+    public = {name for name in vars(checks) if name.startswith("check_")}
+    assert public == registered
+    assert [r.name for r in checks.run_all(0)] == list(SUITES)
 
 
 def test_higher_kernel_monotonicity_and_instance():
     """Injectivity over a deeper Frobenius kernel implies injectivity over
-    the shallower ones (degree up to 20, kernel index up to 3, classical
-    and quantum parameter sets with p in {2, 3}); and the worked instance:
+    the shallower ones on the kernel grid, classical and quantum parameter
+    sets with p in {2, 3}, at the registry bound; and the worked instance:
     (2,1) at l=1, p=2 is injective over the first kernel but not the
     second."""
-    grid = (
-        GroupParams(1, 2),
-        GroupParams(1, 3),
-        GroupParams(2, 2),
-        GroupParams(2, 3),
-        GroupParams(3, 2),
-        GroupParams(3, 3),
-    )
-    _require(checks.check_higher_kernels(20, grid, m_max=3))
+    suite = SUITES["higher-kernels"]
+    _require(checks.run_suite(suite, suite[1], checks.KERNEL_GRID))
     lam = Weight((2, 1))
     assert is_gm_injective(lam, 1, GroupParams(1, 2)) is True
     assert is_gm_injective(lam, 2, GroupParams(1, 2)) is False
@@ -109,12 +57,11 @@ def test_higher_kernel_monotonicity_and_instance():
 
 
 def test_table_output_deterministic():
-    """`table --deg-max 15` is byte-identical across runs; re-rendering in
-    process and fresh interpreter runs under different hash seeds must
-    produce the same bytes (row generation is sequential and sorted, so
-    thread count cannot influence it)."""
-    _require(checks.check_table_determinism(15))
-
+    """`table` at the table-determinism bound is byte-identical across fresh
+    interpreter runs under different hash seeds (in-process re-rendering is
+    the suite itself; row generation is sequential and sorted, so thread
+    count cannot influence it)."""
+    deg_max = str(SUITES["table-determinism"][1])
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = {}
     for fmt in ("text", "csv"):
@@ -123,7 +70,7 @@ def test_table_output_deterministic():
             env["PYTHONHASHSEED"] = seed
             env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
             proc = subprocess.run(
-                [sys.executable, "-m", "polyinj", "table", "--deg-max", "15",
+                [sys.executable, "-m", "polyinj", "table", "--deg-max", deg_max,
                  "--l", "1", "--p", "2", "--format", fmt],
                 capture_output=True,
                 env=env,

@@ -93,6 +93,16 @@ def test_usage_errors_exit_one():
     assert run(["classify", "--weight", "1,2", "--l", "1", "--p", "2"])[0] == 1
     assert run(["selfcheck", "--deg-max", "-1"])[0] == 1
     assert run(["table", "--deg-max", "2", "--l", "1", "--p", "2", "--gm-max", "-1"])[0] == 1
+    assert run(["char", "sympow", "--weight", "3,-1", "--l", "1", "--p", "2"])[0] == 1
+    assert run(["classify", "--weight", "2,1", "--l", "1", "--p", str(10 ** 25)])[0] == 1
+
+
+def test_classify_large_prime():
+    """Primality of a 62-bit p is decided without trial division."""
+    t0 = time.perf_counter()
+    rc, out = run(["classify", "--weight", "2,1", "--l", "1", "--p", str(2 ** 62 - 57)])
+    assert rc == 0 and "divind: 1" in out
+    assert time.perf_counter() - t0 < 2
 
 
 def test_classify_check_reach():

@@ -137,10 +137,3 @@ def test_criterion_matches_rank2_digit_test():
                 else:
                     bar_div = gl2.divind_injective_oracle(lbar, params.classical())
                 assert injectivity_criterion(lam0[0], bar_div, 2, params.e) == gl2.is_inf_injective_closed(lam, params)
-
-
-def test_criterion_layer_full_grid():
-    from polyinj.checks import check_criterion_layer
-
-    result = check_criterion_layer(40)
-    assert result.ok, result.failures

@@ -121,10 +121,3 @@ def test_compositions_enumeration():
     assert compositions(1, 0) == ()
     assert len(compositions(8, 4)) == 165  # stars and bars: C(11, 3)
     assert all(sum(c) == 8 for c in compositions(8, 4))
-
-
-def test_pieri_full_grid():
-    from polyinj.checks import check_pieri_products
-
-    result = check_pieri_products(10, 4)
-    assert result.ok, result.failures
