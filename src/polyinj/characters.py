@@ -74,10 +74,6 @@ class Character:
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def _same_rank(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch: %d vs %d variables" % (self.n, other.n))

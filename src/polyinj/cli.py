@@ -5,8 +5,9 @@ injective | sympow), ``divind``, ``classify``, ``table``, ``selfcheck``.
 Weights are passed as comma-separated integer lists (``--weight 5,2``),
 the arithmetic context as ``--l`` and ``--p`` (characteristic-zero quantum
 parameters are ``--p 0`` with ``--l`` at least 2).  Output formats: text
-(default), json, csv (tables only).  Exit codes: 0 success, 1 usage error,
-2 invariant or oracle disagreement.
+(default), json, csv (tables only).  Each subcommand returns its whole
+stdout as a string and :func:`main` writes it.  Exit codes: 0 success,
+1 usage error, 2 invariant or oracle disagreement.
 """
 
 from __future__ import annotations
@@ -16,16 +17,19 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import checks, gl2, injectivity
 from .characters import PeelError
 from .schur import partitions, schur_character
 from .weights import GroupParams, Weight, digit_expansion, eadic_split
 
+
 class UsageError(ValueError):
     pass
+
+
+class ChecksFailed(Exception):
+    """A selfcheck suite failed; carries the full report for stdout."""
 
 
 def parse_weight(text):
@@ -45,187 +49,121 @@ def parse_params(args):
         raise UsageError(str(exc))
 
 
+# ---------------------------------------------------------------------------
+# rendering
+
+
 def _weight_str(w):
     return ",".join(str(a) for a in w)
 
 
+def _bool_str(v, blank=""):
+    if v is None:
+        return blank
+    return "true" if v else "false"
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _lines(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _header(lam, params):
+    return ["weight: (%s)" % _weight_str(lam), "params: %s e=%d" % (params, params.e)]
+
+
+def classification_record(cls, gm_flags=()):
+    """JSON record of a rank-2 classification; ``gm_flags`` holds the
+    Frobenius-kernel verdicts for m = 1, 2, ... (None: undefined in
+    characteristic 0)."""
+    std = cls.standard_form
+    return {
+        "degree": cls.lam.degree(),
+        "weight": list(cls.lam),
+        "l": cls.params.l,
+        "p": cls.params.p,
+        "critical": cls.critical,
+        "divind": cls.divind,
+        "inf_injective": cls.inf_injective,
+        "gm_flags": list(gm_flags),
+        "gm_injective_up_to": max((m for m, flag in enumerate(gm_flags, 1) if flag), default=0),
+        "standard_form": None if std is None else {
+            "q_weight": list(std.q_weight),
+            "det_power": std.det_power,
+            "bar_weight": list(std.bar_weight),
+            "branch": std.branch,
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
-# table rows
-
-
-@dataclass(frozen=True)
-class TableRow:
-    lam: Weight
-    l: int
-    p: int
-    critical: bool
-    divind: int
-    inf_injective: bool
-    gm_flags: tuple  # entries True/False/None (None: undefined in char 0)
-    standard_form: Optional[gl2.FactorizationDescriptor]
-
-    @property
-    def degree(self):
-        return self.lam.degree()
-
-    @property
-    def gm_injective_up_to(self):
-        best = 0
-        for m, flag in enumerate(self.gm_flags, start=1):
-            if flag:
-                best = m
-        return best
-
-    def to_json_obj(self):
-        std = None
-        if self.standard_form is not None:
-            std = {
-                "q_weight": list(self.standard_form.q_weight),
-                "det_power": self.standard_form.det_power,
-                "bar_weight": list(self.standard_form.bar_weight),
-                "branch": self.standard_form.branch,
-            }
-        return {
-            "degree": self.degree,
-            "weight": list(self.lam),
-            "l": self.l,
-            "p": self.p,
-            "critical": self.critical,
-            "divind": self.divind,
-            "inf_injective": self.inf_injective,
-            "gm_flags": list(self.gm_flags),
-            "gm_injective_up_to": self.gm_injective_up_to,
-            "standard_form": std,
-        }
-
-
-def table_row_from_json(obj):
-    std = None
-    if obj.get("standard_form") is not None:
-        raw = obj["standard_form"]
-        std = gl2.FactorizationDescriptor(
-            Weight(raw["q_weight"]), raw["det_power"], Weight(raw["bar_weight"]), raw["branch"]
-        )
-    return TableRow(
-        lam=Weight(obj["weight"]),
-        l=obj["l"],
-        p=obj["p"],
-        critical=obj["critical"],
-        divind=obj["divind"],
-        inf_injective=obj["inf_injective"],
-        gm_flags=tuple(obj["gm_flags"]),
-        standard_form=std,
-    )
+# table
 
 
 def table_rows(deg_max, params, gm_max=0):
-    """One classified row per rank-2 partition of degree <= deg_max, sorted
-    by (degree, lex-descending weight)."""
+    """One ``(classification, gm_flags)`` row per rank-2 partition of degree
+    <= deg_max, sorted by (degree, lex-descending weight)."""
     rows = []
     for r in range(deg_max + 1):
         for lam in partitions(r, 2):
             cls = gl2.classify(lam, params)
-            flags = []
-            for m in range(1, gm_max + 1):
-                if params.p == 0 and m >= 2:
-                    flags.append(None)
-                else:
-                    flags.append(gl2.is_gm_injective(lam, m, params))
-            rows.append(
-                TableRow(
-                    lam=lam,
-                    l=params.l,
-                    p=params.p,
-                    critical=cls.critical,
-                    divind=cls.divind,
-                    inf_injective=cls.inf_injective,
-                    gm_flags=tuple(flags),
-                    standard_form=cls.standard_form,
-                )
-            )
+            rows.append((cls, tuple(None if params.p == 0 and m >= 2 else gl2.is_gm_injective(lam, m, params)
+                                    for m in range(1, gm_max + 1))))
     return rows
 
 
-def _bool_str(v):
-    if v is None:
-        return ""
-    return "true" if v else "false"
+def _row_fields(cls, gm_flags, blank):
+    """One table row for text (``blank`` is "-") or csv (``blank`` is "")."""
+    std = cls.standard_form.rendered() if cls.standard_form else blank
+    return ([str(cls.lam.degree()), _weight_str(cls.lam), _bool_str(cls.critical),
+             str(cls.divind), _bool_str(cls.inf_injective)]
+            + [_bool_str(flag, blank) for flag in gm_flags] + [std])
 
 
 def render_table(rows, fmt, gm_max=0):
     if fmt == "json":
-        return json.dumps([row.to_json_obj() for row in rows], indent=2, sort_keys=True) + "\n"
-    gm_headers = ["gm%d" % m for m in range(1, gm_max + 1)]
+        return _json([classification_record(cls, flags) for cls, flags in rows])
+    header = (["degree", "weight", "critical", "divind", "inf_injective"]
+              + ["gm%d" % m for m in range(1, gm_max + 1)] + ["standard_form"])
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "weight", "critical", "divind", "inf_injective"] + gm_headers + ["standard_form"])
-        for row in rows:
-            std = row.standard_form.rendered() if row.standard_form else ""
-            writer.writerow(
-                [row.degree, _weight_str(row.lam), _bool_str(row.critical), row.divind,
-                 _bool_str(row.inf_injective)]
-                + [_bool_str(f) for f in row.gm_flags]
-                + [std]
-            )
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [_row_fields(cls, flags, "") for cls, flags in rows])
         return buf.getvalue()
-    # text
-    header = ["degree", "weight", "critical", "divind", "inf_injective"] + gm_headers + ["standard_form"]
-    lines = ["\t".join(header)]
-    for row in rows:
-        std = row.standard_form.rendered() if row.standard_form else "-"
-        fields = [str(row.degree), _weight_str(row.lam), _bool_str(row.critical),
-                  str(row.divind), _bool_str(row.inf_injective)]
-        fields += [_bool_str(f) or "-" for f in row.gm_flags]
-        fields.append(std)
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+    return _lines(["\t".join(header)] + ["\t".join(_row_fields(cls, flags, "-")) for cls, flags in rows])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _emit(text, out):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
-def cmd_expand(args, out):
+def cmd_expand(args):
     lam = parse_weight(args.weight)
     params = parse_params(args)
     exp = digit_expansion(lam, params)
     if args.format == "json":
-        obj = {
+        return _json({
             "weight": list(lam),
             "l": params.l,
             "p": params.p,
             "e": params.e,
             "quantum_digit": list(exp.quantum_digit),
             "classical_digits": [list(d) for d in exp.classical_digits],
-        }
-        _emit(json.dumps(obj, indent=2, sort_keys=True), out)
-        return 0
-    lines = [
-        "weight: (%s)" % _weight_str(lam),
-        "params: %s e=%d" % (params, params.e),
-        "quantum digit (base %d): (%s)" % (params.e, _weight_str(exp.quantum_digit)),
-    ]
+        })
+    lines = _header(lam, params) + [
+        "quantum digit (base %d): (%s)" % (params.e, _weight_str(exp.quantum_digit))]
     if params.p == 0:
         lines.append("classical weight (unrefined): (%s)" % _weight_str(exp.classical_digits[0]))
-    elif exp.classical_digits:
-        lines.append(
-            "classical digits (base %d): %s"
-            % (params.p, " ".join("(%s)" % _weight_str(d) for d in exp.classical_digits))
-        )
     else:
-        lines.append("classical digits (base %d): none" % params.p)
-    _emit("\n".join(lines), out)
-    return 0
+        digits = " ".join("(%s)" % _weight_str(d) for d in exp.classical_digits)
+        lines.append("classical digits (base %d): %s" % (params.p, digits or "none"))
+    return _lines(lines)
 
 
-def cmd_char(args, out):
+def cmd_char(args):
     lam = parse_weight(args.weight)
     kind = args.kind
     if kind == "schur":
@@ -240,19 +178,13 @@ def cmd_char(args, out):
         params = parse_params(args)
         if lam.n != 2:
             raise UsageError("%s characters are implemented for rank 2 only" % kind)
-        if kind == "simple":
-            chi = gl2.simple_character(lam, params)
-        else:
-            chi = gl2.injective_character(lam, params)
+        chi = (gl2.simple_character if kind == "simple" else gl2.injective_character)(lam, params)
     if args.format == "json":
-        _emit(json.dumps({"kind": kind, "weight": list(lam), "character": chi.to_json_obj()},
-                         indent=2, sort_keys=True), out)
-    else:
-        _emit(str(chi), out)
-    return 0
+        return _json({"kind": kind, "weight": list(lam), "character": chi.to_json_obj()})
+    return _lines([str(chi)])
 
 
-def cmd_divind(args, out):
+def cmd_divind(args):
     lam = parse_weight(args.weight)
     if lam.n != 2:
         raise UsageError("divisibility indices are computed for rank 2 only")
@@ -269,99 +201,76 @@ def cmd_divind(args, out):
         obj = {"weight": list(lam), "l": params.l, "p": params.p, "divind": closed}
         if oracle is not None:
             obj["oracle"] = oracle
-        _emit(json.dumps(obj, indent=2, sort_keys=True), out)
-    else:
-        line = "divind: %d" % closed
-        if oracle is not None:
-            line += "\noracle: %d (agrees)" % oracle
-        _emit(line, out)
-    return 0
+        return _json(obj)
+    lines = ["divind: %d" % closed]
+    if oracle is not None:
+        lines.append("oracle: %d (agrees)" % oracle)
+    return _lines(lines)
 
 
-def cmd_classify(args, out):
+def cmd_classify(args):
     lam = parse_weight(args.weight)
     params = parse_params(args)
     if lam.n == 2:
-        limit = lam.degree() if args.check else gl2.ORACLE_DEGREE_LIMIT
+        checked = args.check or lam.degree() <= gl2.ORACLE_DEGREE_LIMIT
+        limit = lam.degree() if checked else gl2.ORACLE_DEGREE_LIMIT
         cls = gl2.classify(lam, params, oracle_degree_limit=limit)
         if args.format == "json":
-            row = TableRow(lam, params.l, params.p, cls.critical, cls.divind,
-                           cls.inf_injective, (), cls.standard_form)
-            obj = row.to_json_obj()
-            obj["oracle_checked"] = args.check or lam.degree() <= gl2.ORACLE_DEGREE_LIMIT
-            _emit(json.dumps(obj, indent=2, sort_keys=True), out)
-            return 0
-        lines = [
-            "weight: (%s)" % _weight_str(lam),
-            "params: %s e=%d" % (params, params.e),
+            return _json(dict(classification_record(cls), oracle_checked=checked))
+        lines = _header(lam, params) + [
             "critical: %s" % _bool_str(cls.critical),
             "divind: %d" % cls.divind,
             "inf_injective: %s" % _bool_str(cls.inf_injective),
         ]
         if cls.standard_form is not None:
             lines.append("standard_form: %s [%s]" % (cls.standard_form.rendered(), cls.standard_form.branch))
-        if args.check or lam.degree() <= gl2.ORACLE_DEGREE_LIMIT:
+        if checked:
             lines.append("oracle_checked: true")
-        _emit("\n".join(lines), out)
-        return 0
+        return _lines(lines)
     # other ranks: the criterion layer decides what it can
     if not (lam.is_dominant() and lam.is_polynomial()):
         raise UsageError("classification needs a dominant polynomial weight")
     lam0, lbar = eadic_split(lam, params.e)
     in_range = injectivity.steinberg_range(lam0, params.e)
-    if in_range:
-        verdict = "infinitesimally injective (Steinberg range)"
-    else:
-        verdict = "conditional (needs a quotient-layer divisibility-index oracle)"
     if args.format == "json":
-        obj = {
+        return _json({
             "weight": list(lam),
             "l": params.l,
             "p": params.p,
             "quantum_digit": list(lam0),
             "steinberg_range": in_range,
             "verdict": "inf_injective" if in_range else "conditional",
-        }
-        _emit(json.dumps(obj, indent=2, sort_keys=True), out)
-        return 0
-    _emit(
-        "weight: (%s)\nparams: %s e=%d\nquantum digit: (%s)\nsteinberg_range: %s\nverdict: %s"
-        % (_weight_str(lam), params, params.e, _weight_str(lam0), _bool_str(in_range), verdict),
-        out,
-    )
-    return 0
+        })
+    verdict = ("infinitesimally injective (Steinberg range)" if in_range
+               else "conditional (needs a quotient-layer divisibility-index oracle)")
+    return _lines(_header(lam, params) + ["quantum digit: (%s)" % _weight_str(lam0),
+                                          "steinberg_range: %s" % _bool_str(in_range),
+                                          "verdict: %s" % verdict])
 
 
-def cmd_table(args, out):
+def cmd_table(args):
     params = parse_params(args)
     if args.deg_max < 0:
         raise UsageError("--deg-max must be nonnegative")
     if args.gm_max < 0:
         raise UsageError("--gm-max must be nonnegative")
-    rows = table_rows(args.deg_max, params, gm_max=args.gm_max)
-    out.write(render_table(rows, args.format, gm_max=args.gm_max))
-    return 0
+    return render_table(table_rows(args.deg_max, params, gm_max=args.gm_max), args.format, gm_max=args.gm_max)
 
 
-def cmd_selfcheck(args, out):
+def cmd_selfcheck(args):
     if args.deg_max < 0:
         raise UsageError("--deg-max must be nonnegative")
     if (args.l is None) != (args.p is None):
         raise UsageError("give both --l and --p, or neither")
-    if args.l is not None:
-        grid = (GroupParams(args.l, args.p),)
-    else:
-        grid = checks.PARAM_GRID
+    grid = checks.PARAM_GRID if args.l is None else (GroupParams(args.l, args.p),)
     results = checks.run_all(deg_max=args.deg_max, grid=grid)
-    for res in results:
-        _emit(res.summary(), out)
-    failed = sum(0 if res.ok else 1 for res in results)
-    _emit(
+    failed = sum(not res.ok for res in results)
+    report = _lines([res.summary() for res in results] + [
         "selfcheck: %d suites, %d ok, %d failed (deg_max=%d)"
-        % (len(results), len(results) - failed, failed, args.deg_max),
-        out,
-    )
-    return 2 if failed else 0
+        % (len(results), len(results) - failed, failed, args.deg_max)])
+    if failed:
+        raise ChecksFailed(report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +348,19 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args, out)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
+        out.write(args.func(args))
+    except ChecksFailed as exc:
+        out.write(str(exc))
+        return 2
     except gl2.OracleMismatch as exc:
         sys.stderr.write("oracle disagreement: %s\n" % exc)
         return 2
     except (ValueError, PeelError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
+    return 0

@@ -183,15 +183,11 @@ class GroupParams:
     def e(self):
         return self.l if self.l >= 2 else self.p
 
-    @property
-    def is_classical(self):
-        return self.l == 1
-
     def classical(self):
         """Parameters of the classical layer sitting under the Frobenius twist."""
         if self.p == 0:
             raise ValueError("characteristic zero has no classical layer")
-        return GroupParams(1, self.p)
+        return self if self.l == 1 else GroupParams(1, self.p)
 
     def __str__(self):
         return "l=%d,p=%d" % (self.l, self.p)

@@ -2,9 +2,9 @@ import io
 import json
 import time
 
-from polyinj import checks, gl2
-from polyinj.cli import main, render_table, table_row_from_json, table_rows
-from polyinj.weights import GroupParams
+from polyinj import checks, gl2, weights
+from polyinj.cli import main
+from polyinj.weights import GroupParams, Weight
 
 
 def run(argv):
@@ -113,6 +113,21 @@ def test_classify_check_reach():
     assert time.perf_counter() - t0 < 10
 
 
+def test_classical_layer_reuses_q1_params(monkeypatch):
+    """At l=1 the classical layer is the parameters themselves, so a cold
+    checked classification tests primality only when it parses --p."""
+    params = GroupParams(1, 2)
+    assert params.classical() is params
+    calls = []
+    is_prime = weights._is_prime
+    monkeypatch.setattr(weights, "_is_prime", lambda m: calls.append(m) or is_prime(m))
+    for table in vars(gl2).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+    rc, _ = run(["classify", "--weight", "100,40", "--l", "1", "--p", "2", "--check"])
+    assert rc == 0 and len(calls) <= 2
+
+
 def test_table_single_row():
     rc, out = run(["table", "--deg-max", "0", "--l", "1", "--p", "2"])
     assert rc == 0
@@ -147,12 +162,23 @@ def test_table_csv_header_and_sorting():
     assert row21[6] == "" and row21[5] in ("true", "false")
 
 
-def test_table_json_round_trip():
+def test_table_json_matches_library():
+    """Every row of the JSON table carries the library's verdicts."""
     params = GroupParams(1, 2)
-    rows = table_rows(4, params, gm_max=2)
-    rendered = render_table(rows, "json", gm_max=2)
-    parsed = [table_row_from_json(obj) for obj in json.loads(rendered)]
-    assert parsed == rows
+    rc, out = run(["table", "--deg-max", "4", "--l", "1", "--p", "2", "--gm-max", "2", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert len(rows) == 9
+    for row in rows:
+        lam = Weight(row["weight"])
+        cls = gl2.classify(lam, params)
+        assert (row["critical"], row["divind"], row["inf_injective"]) == (
+            cls.critical, cls.divind, cls.inf_injective)
+        std = cls.standard_form
+        assert row["standard_form"] == (None if std is None else {
+            "q_weight": list(std.q_weight), "det_power": std.det_power,
+            "bar_weight": list(std.bar_weight), "branch": std.branch})
+        assert row["gm_flags"] == [gl2.is_gm_injective(lam, m, params) for m in (1, 2)]
 
 
 def test_table_in_process_determinism():

@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyinj import checks, gl2
 from polyinj.characters import Character, PeelError, min_last_entry, peel_into_basis
@@ -352,3 +353,32 @@ def test_oracle_adapters():
     assert spo((3,), W(2, 1)) == 0
     assert spo((2,), W(1, 1)) == 1
     assert spo((2, 1), W(2, 1)) == 1
+
+
+PRIMES_TO_47 = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def weights_and_params(draw):
+    l = draw(st.integers(1, 12))
+    p = draw(st.sampled_from(PRIMES_TO_47 + ([0] if l >= 2 else [])))
+    b = draw(st.integers(0, 5 * 10 ** 11))
+    a = draw(st.integers(b, 10 ** 12 - b))
+    return Weight((a, b)), GroupParams(l, p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(weights_and_params())
+def test_closed_forms_hold_at_random_degrees(case):
+    """Up to degree 1e12: the layer recursion equals the digit closed form
+    (classify raises no OracleMismatch), the verdict is self-consistent,
+    the standard form rebuilds the weight and kernel injectivity is
+    monotone in the kernel index."""
+    lam, params = case
+    cls = classify(lam, params)
+    assert cls.critical == (cls.divind == 0) and 2 * cls.divind <= lam.degree()
+    assert cls.inf_injective == (cls.standard_form is not None)
+    if cls.standard_form is not None:
+        assert reconstruct_weight(cls.standard_form, params) == lam
+    flags = [is_gm_injective(lam, m, params) for m in range(1, 4 if params.p else 2)]
+    assert flags == sorted(flags, reverse=True)
