@@ -448,9 +448,9 @@ def is_gm_injective(lam, m, params):
 
     Classically (l=1) this reduces to first-kernel injectivity of the m
     digit-shifted weights sum_{j>=r} p^{j-r} d_j for r = 0..m-1.  In the
-    quantum case the m-th kernel test is first-kernel injectivity plus the
-    classical m-th kernel test for the quotient weight.  Characteristic
-    zero only has the first kernel.
+    quantum case the m-th kernel test is first-kernel injectivity plus,
+    for m >= 2, the classical (m-1)-th kernel test for the quotient weight.
+    Characteristic zero only has the first kernel.
     """
     lam = _check_weight(lam)
     if m < 1:
@@ -470,7 +470,9 @@ def is_gm_injective(lam, m, params):
             return is_inf_injective_closed(lam, params)
         raise ValueError("higher Frobenius kernels need positive characteristic")
     _, lbar = eadic_split(lam, params.e)
-    return is_inf_injective_closed(lam, params) and is_gm_injective(lbar, m, params.classical())
+    return is_inf_injective_closed(lam, params) and (
+        m == 1 or is_gm_injective(lbar, m - 1, params.classical())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Byte-exact CLI outputs: every recorded command line prints the same
 stdout and exits with the same code.  After an intended output change,
-regenerate the data with ``PYTHONPATH=src python tests/test_cli_golden.py``."""
+regenerate the data with ``PYTHONPATH=src python tests/test_cli_golden.py``,
+which prints the command line of every case whose stdout or exit code
+changed."""
 
 import io
 import json
@@ -28,7 +30,10 @@ def test_golden_output(case):
 
 if __name__ == "__main__":
     for case in CASES:
-        case["rc"], case["stdout"] = run(case["argv"])
+        got = run(case["argv"])
+        if got != (case["rc"], case["stdout"]):
+            print("changed: " + " ".join(case["argv"]))
+        case["rc"], case["stdout"] = got
     with open(DATA, "w") as fh:
         json.dump(CASES, fh, indent=1)
         fh.write("\n")

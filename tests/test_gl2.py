@@ -28,7 +28,7 @@ from polyinj.gl2 import (
     sym_power_factor_oracle,
 )
 from polyinj.schur import h_character, schur_character
-from polyinj.weights import GroupParams, Weight, omega
+from polyinj.weights import GroupParams, Weight, eadic_split, omega
 
 P12 = GroupParams(1, 2)
 P13 = GroupParams(1, 3)
@@ -277,10 +277,16 @@ def test_gm_injective_characteristic_zero():
 
 
 def test_gm_injective_quantum_reduces_to_classical():
+    # the m-th quantum kernel test is the first-kernel test plus the
+    # classical (m-1)-th kernel test of the quotient
     lam = W(7, 2)  # quantum digit (1,0), quotient (3,1)
-    for m in (1, 2):
-        expected = is_inf_injective_closed(lam, P22) and is_gm_injective(W(3, 1), m, P12)
+    for m in (1, 2, 3):
+        expected = is_inf_injective_closed(lam, P22) and (
+            m == 1 or is_gm_injective(W(3, 1), m - 1, P12)
+        )
         assert is_gm_injective(lam, m, P22) is expected
+    assert is_gm_injective(lam, 3, P22) is True
+    assert is_gm_injective(W(3, 1), 3, P12) is False
 
 
 def test_gm_deep_kernel_instance():
@@ -372,8 +378,9 @@ def weights_and_params(draw):
 def test_closed_forms_hold_at_random_degrees(case):
     """Up to degree 1e12: the layer recursion equals the digit closed form
     (classify raises no OracleMismatch), the verdict is self-consistent,
-    the standard form rebuilds the weight and kernel injectivity is
-    monotone in the kernel index."""
+    the standard form rebuilds the weight, kernel injectivity is monotone in
+    the kernel index, the first kernel test is the inf_injective verdict,
+    and a quantum kernel test reduces to the classical one a kernel down."""
     lam, params = case
     cls = classify(lam, params)
     assert cls.critical == (cls.divind == 0) and 2 * cls.divind <= lam.degree()
@@ -382,3 +389,9 @@ def test_closed_forms_hold_at_random_degrees(case):
         assert reconstruct_weight(cls.standard_form, params) == lam
     flags = [is_gm_injective(lam, m, params) for m in range(1, 4 if params.p else 2)]
     assert flags == sorted(flags, reverse=True)
+    assert flags[0] == cls.inf_injective
+    if params.l >= 2 and params.p:
+        lbar = eadic_split(lam, params.e)[1]
+        for m in (2, 3):
+            expected = cls.inf_injective and is_gm_injective(lbar, m - 1, params.classical())
+            assert flags[m - 1] == expected
