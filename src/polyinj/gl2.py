@@ -231,21 +231,18 @@ def _sympow_simple_factors(r, params):
 
 def _digit_is_critical(d, base):
     """A digit keeps the layer critical iff its top entry is base-1 or its
-    bottom entry is 0."""
+    bottom entry is 0 (for the unrefined quotient, base 0: iff it ends in 0)."""
     return d[0] == base - 1 or d[1] == 0
 
 
+def _layers(lam, params):
+    return digit_expansion(_check_weight(lam), params).layers()
+
+
 def is_critical_closed(lam, params):
-    """Digit-pattern test for divisibility index zero: the quantum digit and
-    every classical digit must be critical for its base (in characteristic
-    zero: the unrefined quotient must end in 0)."""
-    lam = _check_weight(lam)
-    exp = digit_expansion(lam, params)
-    if not _digit_is_critical(exp.quantum_digit, params.e):
-        return False
-    if params.p == 0:
-        return exp.classical_digits[0][1] == 0
-    return all(_digit_is_critical(d, params.p) for d in exp.classical_digits)
+    """Digit-pattern test for divisibility index zero: every digit of the
+    expansion must be critical for its base."""
+    return all(_digit_is_critical(d, base) for d, base, _ in _layers(lam, params))
 
 
 def is_critical_oracle(lam, params):
@@ -275,49 +272,23 @@ def _divind_by_layers(lam, params):
     return lam0[0] - (params.e - 1) + params.e * bar_div
 
 
-def _divind_base_p(digits, p):
-    """Closed form for a pure base-p digit list.
-
-    m is the largest index carrying a non-critical digit (top entry != p-1
-    and bottom entry != 0); every digit above m is critical and contributes
-    nothing, every digit below m contributes its top entry at its p-power
-    scale, and the digit at m contributes through one of two branches
-    depending on whether its top entry clears p-1.
-    """
-    bad = [i for i, d in enumerate(digits) if not _digit_is_critical(d, p)]
+def _divind_formula(lam, params):
+    """Closed form on the digit list.  m is the largest index carrying a
+    non-critical digit; every digit above m is critical and contributes
+    nothing, every digit below m contributes its top entry at its scale,
+    and the digit at m contributes through one of two branches depending
+    on whether its top entry clears base-1 (never for the unrefined
+    quotient)."""
+    layers = _layers(lam, params)
+    bad = [i for i, (d, base, _) in enumerate(layers) if not _digit_is_critical(d, base)]
     if not bad:
         return 0
     m = bad[-1]
-    alpha1 = sum(p ** i * digits[i][0] for i in range(m))
-    dm = digits[m]
-    if dm[0] < p - 1:
-        return alpha1 + p ** m * dm[1] - (p ** m - 1)
-    return alpha1 + p ** m * dm[0] - (p ** (m + 1) - 1)
-
-
-def _divind_formula(lam, params):
-    exp = digit_expansion(lam, params)
-    lam0 = exp.quantum_digit
-    e, p = params.e, params.p
-    if p == 0:
-        lbar = exp.classical_digits[0]
-        if lam0[0] < e - 1 and lbar[1] == 0:
-            return lam0[1]
-        return lam0[0] - (e - 1) + e * lbar[1]
-    if params.l == 1:
-        return _divind_base_p(exp.base_p_digits(), p)
-    digits = exp.classical_digits
-    bad = [i for i, d in enumerate(digits) if not _digit_is_critical(d, p)]
-    if not bad:
-        if _digit_is_critical(lam0, e):
-            return 0
-        return lam0[1] if lam0[0] < e - 1 else lam0[0] - (e - 1)
-    m = bad[-1]
-    alpha1 = lam0[0] + e * sum(p ** i * digits[i][0] for i in range(m))
-    dm = digits[m]
-    if dm[0] < p - 1:
-        return alpha1 + e * p ** m * dm[1] - (e * p ** m - 1)
-    return alpha1 + e * p ** m * dm[0] - (e * p ** (m + 1) - 1)
+    alpha1 = sum(scale * d[0] for d, _, scale in layers[:m])
+    dm, base, scale = layers[m]
+    if base == 0 or dm[0] < base - 1:
+        return alpha1 + scale * dm[1] - (scale - 1)
+    return alpha1 + scale * dm[0] - (scale * base - 1)
 
 
 def divind_injective_closed(lam, params):
@@ -348,16 +319,20 @@ def divind_injective_oracle(lam, params):
 # infinitesimal injectivity
 
 
+def _tail_injective(layers, r):
+    """First-kernel test of the weight whose digits are layers[r:]: its
+    lowest digit clears base-1, or a digit above it is not critical.  An
+    empty tail is the zero weight, which is not injective."""
+    if r >= len(layers):
+        return False
+    d, base, _ = layers[r]
+    return d[0] >= base - 1 or not all(_digit_is_critical(c, b) for c, b, _ in layers[r + 1:])
+
+
 def is_inf_injective_closed(lam, params):
     """Digit-pattern test for injectivity over the first Frobenius kernel:
     the quantum digit clears e-1, or the quotient layer is not critical."""
-    lam = _check_weight(lam)
-    exp = digit_expansion(lam, params)
-    if exp.quantum_digit[0] >= params.e - 1:
-        return True
-    if params.p == 0:
-        return exp.classical_digits[0][1] != 0
-    return any(not _digit_is_critical(d, params.p) for d in exp.classical_digits)
+    return _tail_injective(_layers(lam, params), 0)
 
 
 def is_inf_injective_inequality(lam, params):
@@ -444,35 +419,19 @@ def standard_form_character(desc, params):
 
 
 def is_gm_injective(lam, m, params):
-    """Injectivity of the envelope of ``lam`` over the m-th Frobenius kernel.
-
-    Classically (l=1) this reduces to first-kernel injectivity of the m
-    digit-shifted weights sum_{j>=r} p^{j-r} d_j for r = 0..m-1.  In the
-    quantum case the m-th kernel test is first-kernel injectivity plus,
-    for m >= 2, the classical (m-1)-th kernel test for the quotient weight.
-    Characteristic zero only has the first kernel.
+    """Injectivity of the envelope of ``lam`` over the m-th Frobenius kernel:
+    first-kernel injectivity of the m digit-shifted weights whose digits are
+    the expansion's from index r on, for r = 0..m-1.  Classically these are
+    sum_{j>=r} p^{j-r} d_j; in the quantum case the test is first-kernel
+    injectivity plus, for m >= 2, the classical (m-1)-th kernel test for
+    the quotient weight.  Characteristic zero only has the first kernel.
     """
-    lam = _check_weight(lam)
+    layers = _layers(lam, params)
     if m < 1:
         raise ValueError("kernel index must be >= 1")
-    if params.l == 1:
-        digits = digit_expansion(lam, params).base_p_digits()
-        p = params.p
-        for r in range(m):
-            w = Weight((0, 0))
-            for i, d in enumerate(digits[r:]):
-                w = w + (p ** i) * d
-            if not is_inf_injective_closed(w, params):
-                return False
-        return True
-    if params.p == 0:
-        if m == 1:
-            return is_inf_injective_closed(lam, params)
+    if m >= 2 and params.p == 0:
         raise ValueError("higher Frobenius kernels need positive characteristic")
-    _, lbar = eadic_split(lam, params.e)
-    return is_inf_injective_closed(lam, params) and (
-        m == 1 or is_gm_injective(lbar, m - 1, params.classical())
-    )
+    return all(_tail_injective(layers, r) for r in range(m))
 
 
 # ---------------------------------------------------------------------------

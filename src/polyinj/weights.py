@@ -208,23 +208,20 @@ class DigitExpansion:
     classical_digits: tuple
     params: GroupParams
 
-    def reconstruct(self):
-        n = self.quantum_digit.n
-        acc = Weight((0,) * n)
-        if self.params.p == 0:
-            if self.classical_digits:
-                acc = self.classical_digits[0]
-        else:
-            for i, d in enumerate(self.classical_digits):
-                acc = acc + (self.params.p ** i) * d
-        return self.quantum_digit + self.params.e * acc
+    def layers(self):
+        """The digits least significant first, each as (digit, base, scale):
+        (lam0, e, 1), then (d_i, p, e*p^i).  In characteristic zero the
+        unrefined quotient follows as (lbar, 0, e), base 0 marking it."""
+        e, p = self.params.e, self.params.p
+        return ((self.quantum_digit, e, 1),) + tuple(
+            (d, p, e * p ** i) for i, d in enumerate(self.classical_digits)
+        )
 
-    def base_p_digits(self):
-        """The full base-p digit list of the original weight (classical case
-        only, where the quantum digit is itself the 0-th base-p digit)."""
-        if self.params.l != 1:
-            raise ValueError("base-p digit list only makes sense for l=1")
-        return (self.quantum_digit,) + self.classical_digits
+    def reconstruct(self):
+        acc = Weight((0,) * self.quantum_digit.n)
+        for d, _, scale in self.layers():
+            acc = acc + scale * d
+        return acc
 
 
 def digit_expansion(lam, params):

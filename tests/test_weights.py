@@ -193,10 +193,36 @@ def test_digit_expansion_rejects_bad_weights():
         digit_expansion(Weight((1, -1)), GroupParams(1, 2))
 
 
-def test_base_p_digits():
+def test_layers():
+    # classical: the quantum digit is the 0-th base-p digit, scales p^i
     exp = digit_expansion(Weight((6, 1)), GroupParams(1, 2))
-    assert exp.base_p_digits() == (Weight((2, 1)), Weight((0, 0)), Weight((1, 0)))
-    assert sum((2 ** i) * d[0] for i, d in enumerate(exp.base_p_digits())) == 6
-    assert sum((2 ** i) * d[1] for i, d in enumerate(exp.base_p_digits())) == 1
-    with pytest.raises(ValueError):
-        digit_expansion(Weight((6, 1)), GroupParams(2, 2)).base_p_digits()
+    layers = exp.layers()
+    assert [d for d, _, _ in layers] == [Weight((2, 1)), Weight((0, 0)), Weight((1, 0))]
+    assert [(base, scale) for _, base, scale in layers] == [(2, 1), (2, 2), (2, 4)]
+    assert sum(scale * d[0] for d, _, scale in layers) == 6
+    assert sum(scale * d[1] for d, _, scale in layers) == 1
+    # quantum: base e, then base-p digits of the quotient at scales e*p^i
+    layers = digit_expansion(Weight((6, 1)), GroupParams(2, 2)).layers()
+    assert layers == ((Weight((2, 1)), 2, 1), (Weight((0, 0)), 2, 2), (Weight((1, 0)), 2, 4))
+    layers = digit_expansion(Weight((6, 1)), GroupParams(2, 3)).layers()
+    assert layers == ((Weight((2, 1)), 2, 1), (Weight((2, 0)), 3, 2))
+    # characteristic zero: the unrefined quotient at base 0 and scale e,
+    # kept when it is zero
+    assert digit_expansion(Weight((6, 1)), GroupParams(3, 0)).layers() == (
+        (Weight((3, 1)), 3, 1),
+        (Weight((1, 0)), 0, 3),
+    )
+    assert digit_expansion(Weight((2, 1)), GroupParams(3, 0)).layers() == (
+        (Weight((2, 1)), 3, 1),
+        (Weight((0, 0)), 0, 3),
+    )
+
+
+@pytest.mark.parametrize("params", [GroupParams(1, 3), GroupParams(4, 3), GroupParams(4, 0)])
+def test_reconstruct_sums_scaled_digits(params):
+    lam = Weight((1000, 123))
+    exp = digit_expansion(lam, params)
+    acc = Weight((0, 0))
+    for d, _, scale in exp.layers():
+        acc = acc + scale * d
+    assert exp.reconstruct() == acc == lam
