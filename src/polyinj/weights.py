@@ -14,6 +14,7 @@ e-regular, and iterating on lbar gives the mixed-base digit expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class Weight(tuple):
@@ -187,10 +188,16 @@ class GroupParams:
         """Parameters of the classical layer sitting under the Frobenius twist."""
         if self.p == 0:
             raise ValueError("characteristic zero has no classical layer")
-        return self if self.l == 1 else GroupParams(1, self.p)
+        return self if self.l == 1 else _classical_params(self.p)
 
     def __str__(self):
         return "l=%d,p=%d" % (self.l, self.p)
+
+
+@lru_cache(maxsize=None)
+def _classical_params(p):
+    """The q = 1 parameters of characteristic p, validated once per p."""
+    return GroupParams(1, p)
 
 
 @dataclass(frozen=True)

@@ -114,18 +114,23 @@ def test_classify_check_reach():
 
 
 def test_classical_layer_reuses_q1_params(monkeypatch):
-    """At l=1 the classical layer is the parameters themselves, so a cold
-    checked classification tests primality only when it parses --p."""
+    """The classical layer is the parameters themselves at l=1 and one
+    shared instance per p at l >= 2, so a cold checked classification tests
+    primality only when it parses --p and builds that instance."""
     params = GroupParams(1, 2)
     assert params.classical() is params
+    assert GroupParams(4, 2).classical() is GroupParams(3, 2).classical() == params
     calls = []
     is_prime = weights._is_prime
     monkeypatch.setattr(weights, "_is_prime", lambda m: calls.append(m) or is_prime(m))
-    for table in vars(gl2).values():
-        if hasattr(table, "cache_clear"):
-            table.cache_clear()
-    rc, _ = run(["classify", "--weight", "100,40", "--l", "1", "--p", "2", "--check"])
-    assert rc == 0 and len(calls) <= 2
+    for l in ("1", "4"):
+        for module in (weights, gl2):
+            for table in vars(module).values():
+                if hasattr(table, "cache_clear"):
+                    table.cache_clear()
+        calls.clear()
+        rc, _ = run(["classify", "--weight", "100,40", "--l", l, "--p", "2", "--check"])
+        assert rc == 0 and len(calls) <= 2
 
 
 def test_table_single_row():
