@@ -20,12 +20,17 @@ import sys
 
 from . import checks, gl2, injectivity
 from .characters import PeelError
-from .schur import partitions, schur_character
+from .schur import partitions, schur_character, tableau_count
 from .weights import GroupParams, Weight, digit_expansion, eadic_split
 
 
 class UsageError(ValueError):
     pass
+
+
+# rank >= 3 Schur characters enumerate their tableaux one by one (892,500
+# for 13,7,3,1,0 take about 2 s); a larger shape is a usage error
+SCHUR_TABLEAU_LIMIT = 10 ** 6
 
 
 class ChecksFailed(Exception):
@@ -167,6 +172,11 @@ def cmd_char(args):
     lam = parse_weight(args.weight)
     kind = args.kind
     if kind == "schur":
+        if lam.n >= 3 and (count := tableau_count(lam)) > SCHUR_TABLEAU_LIMIT:
+            raise UsageError(
+                "schur %s has %d tableaux, above the limit of %d"
+                % (_weight_str(lam), count, SCHUR_TABLEAU_LIMIT)
+            )
         chi = schur_character(lam)
     elif kind == "sympow":
         # the degree is the entry sum of --weight; the character lives in rank 2

@@ -85,6 +85,18 @@ def schur_character(lam):
     return _schur_ssyt(lam)
 
 
+def tableau_count(lam):
+    """Number of semistandard tableaux of shape ``lam`` with entries at most
+    ``lam.n`` (the work of :func:`_schur_ssyt`): the Weyl dimension formula,
+    prod over i < j of (lam_i - lam_j + j - i) / (j - i), in integers."""
+    lam = _check_partition(lam)
+    num = den = 1
+    for i, j in itertools.combinations(range(lam.n), 2):
+        num *= lam[i] - lam[j] + j - i
+        den *= j - i
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def _schur_ssyt(lam):
     n = lam.n

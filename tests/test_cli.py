@@ -95,6 +95,9 @@ def test_usage_errors_exit_one():
     assert run(["table", "--deg-max", "2", "--l", "1", "--p", "2", "--gm-max", "-1"])[0] == 1
     assert run(["char", "sympow", "--weight", "3,-1", "--l", "1", "--p", "2"])[0] == 1
     assert run(["classify", "--weight", "2,1", "--l", "1", "--p", str(10 ** 25)])[0] == 1
+    t0 = time.perf_counter()
+    assert run(["char", "schur", "--weight", "12,8,4,2,1,0"])[0] == 1  # 38,675,000 tableaux
+    assert time.perf_counter() - t0 < 3
 
 
 def test_classify_large_prime():

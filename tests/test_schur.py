@@ -9,6 +9,7 @@ from polyinj.schur import (
     schur_character,
     schur_character_jt,
     sym_tensor_nabla_mult,
+    tableau_count,
 )
 from polyinj.weights import Weight
 
@@ -29,6 +30,16 @@ def test_schur_examples():
         assert schur_character(Weight((r, 0))) == h_character(r, 2)
     with pytest.raises(ValueError):
         schur_character(Weight((1, 2)))
+
+
+def test_tableau_count_is_the_enumerated_count():
+    for n in (1, 2, 3, 4):
+        for r in range(7):
+            for lam in partitions(r, n):
+                assert tableau_count(lam) == sum(m for _, m in schur_character(lam).items())
+    assert tableau_count(Weight((12, 8, 4, 2, 1, 0))) == 38675000
+    with pytest.raises(ValueError):
+        tableau_count(Weight((1, 2, 0)))
 
 
 def test_jacobi_trudi_examples():
