@@ -216,13 +216,11 @@ def test_layers():
         (Weight((2, 1)), 3, 1),
         (Weight((0, 0)), 0, 3),
     )
-
-
-@pytest.mark.parametrize("params", [GroupParams(1, 3), GroupParams(4, 3), GroupParams(4, 0)])
-def test_reconstruct_sums_scaled_digits(params):
+    # in every context the weight is the sum of scale * digit
     lam = Weight((1000, 123))
-    exp = digit_expansion(lam, params)
-    acc = Weight((0, 0))
-    for d, _, scale in exp.layers():
-        acc = acc + scale * d
-    assert exp.reconstruct() == acc == lam
+    for params in (GroupParams(1, 3), GroupParams(4, 3), GroupParams(4, 0)):
+        exp = digit_expansion(lam, params)
+        acc = Weight((0, 0))
+        for d, _, scale in exp.layers():
+            acc = acc + scale * d
+        assert exp.reconstruct() == acc == lam
