@@ -111,13 +111,8 @@ def classification_record(cls, gm_flags=()):
 def table_rows(deg_max, params, gm_max=0):
     """One ``(classification, gm_flags)`` row per rank-2 partition of degree
     <= deg_max, sorted by (degree, lex-descending weight)."""
-    rows = []
-    for r in range(deg_max + 1):
-        for lam in partitions(r, 2):
-            cls = gl2.classify(lam, params)
-            rows.append((cls, tuple(None if params.p == 0 and m >= 2 else gl2.is_gm_injective(lam, m, params)
-                                    for m in range(1, gm_max + 1))))
-    return rows
+    return [gl2.classify_with_kernels(lam, params, gm_max)
+            for r in range(deg_max + 1) for lam in partitions(r, 2)]
 
 
 def _row_fields(cls, gm_flags, blank):

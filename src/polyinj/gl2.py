@@ -31,6 +31,13 @@ characters alone (decomposition of Schur characters into simple
 characters, reciprocity for injective multiplicities).  ``classify`` runs
 both and raises :class:`OracleMismatch` rather than return conflicting
 answers.
+
+The closed forms read one digit list, ``digit_expansion(lam).layers()``.
+A verdict expands the digits once: ``classify`` (and
+``classify_with_kernels``, which adds the Frobenius-kernel flags of a
+table row) builds the list and passes it to the divisibility formula, the
+criticality and kernel tests and the standard form.  The public closed
+forms, called alone, each build the list themselves.
 """
 
 from __future__ import annotations
@@ -236,13 +243,18 @@ def _digit_is_critical(d, base):
 
 
 def _layers(lam, params):
-    return digit_expansion(_check_weight(lam), params).layers()
+    """The digit list of a checked weight, which every closed form reads."""
+    return digit_expansion(lam, params).layers()
+
+
+def _all_critical(layers):
+    return all(_digit_is_critical(d, base) for d, base, _ in layers)
 
 
 def is_critical_closed(lam, params):
     """Digit-pattern test for divisibility index zero: every digit of the
     expansion must be critical for its base."""
-    return all(_digit_is_critical(d, base) for d, base, _ in _layers(lam, params))
+    return _all_critical(_layers(_check_weight(lam), params))
 
 
 def is_critical_oracle(lam, params):
@@ -272,14 +284,13 @@ def _divind_by_layers(lam, params):
     return lam0[0] - (params.e - 1) + params.e * bar_div
 
 
-def _divind_formula(lam, params):
+def _divind_formula(layers):
     """Closed form on the digit list.  m is the largest index carrying a
     non-critical digit; every digit above m is critical and contributes
     nothing, every digit below m contributes its top entry at its scale,
     and the digit at m contributes through one of two branches depending
     on whether its top entry clears base-1 (never for the unrefined
     quotient)."""
-    layers = _layers(lam, params)
     bad = [i for i, (d, base, _) in enumerate(layers) if not _digit_is_critical(d, base)]
     if not bad:
         return 0
@@ -296,8 +307,12 @@ def divind_injective_closed(lam, params):
     evaluated by both the layer recursion and the digit closed form; the two
     must agree or :class:`OracleMismatch` is raised."""
     lam = _check_weight(lam)
+    return _divind_closed(lam, params, _layers(lam, params))
+
+
+def _divind_closed(lam, params, layers):
     by_layers = _divind_by_layers(lam, params)
-    by_formula = _divind_formula(lam, params)
+    by_formula = _divind_formula(layers)
     if by_layers != by_formula:
         raise OracleMismatch(
             "divisibility index of %r at %s: layer recursion says %d, closed form says %d"
@@ -326,13 +341,13 @@ def _tail_injective(layers, r):
     if r >= len(layers):
         return False
     d, base, _ = layers[r]
-    return d[0] >= base - 1 or not all(_digit_is_critical(c, b) for c, b, _ in layers[r + 1:])
+    return d[0] >= base - 1 or not _all_critical(layers[r + 1:])
 
 
 def is_inf_injective_closed(lam, params):
     """Digit-pattern test for injectivity over the first Frobenius kernel:
     the quantum digit clears e-1, or the quotient layer is not critical."""
-    return _tail_injective(_layers(lam, params), 0)
+    return _tail_injective(_layers(_check_weight(lam), params), 0)
 
 
 def is_inf_injective_inequality(lam, params):
@@ -378,10 +393,16 @@ def standard_form(lam, params):
     """Standard-form descriptor of the injective envelope of ``lam``; only
     defined when it is infinitesimally injective."""
     lam = _check_weight(lam)
-    if not is_inf_injective_closed(lam, params):
+    layers = _layers(lam, params)
+    if not _tail_injective(layers, 0):
         raise ValueError("%r is not infinitesimally injective at %s" % (lam, params))
+    return _standard_form(lam, params, _divind_closed(lam, params, layers))
+
+
+def _standard_form(lam, params, m):
+    """Standard form of an infinitesimally injective ``lam`` whose
+    divisibility index is m."""
     e = params.e
-    m = divind_injective_closed(lam, params)
     m0, mbar = m % e, m // e
     lam0, lbar = eadic_split(lam, e)
     w = omega(2)
@@ -426,12 +447,27 @@ def is_gm_injective(lam, m, params):
     injectivity plus, for m >= 2, the classical (m-1)-th kernel test for
     the quotient weight.  Characteristic zero only has the first kernel.
     """
-    layers = _layers(lam, params)
     if m < 1:
         raise ValueError("kernel index must be >= 1")
     if m >= 2 and params.p == 0:
         raise ValueError("higher Frobenius kernels need positive characteristic")
+    layers = _layers(_check_weight(lam), params)
     return all(_tail_injective(layers, r) for r in range(m))
+
+
+def _kernel_flags(layers, gm_max, params):
+    """``is_gm_injective`` for m = 1..gm_max, read off one digit list: the
+    flag for m is the flag for m-1 and the tail test at index m-1.  None
+    where the kernel is undefined (m >= 2 in characteristic zero)."""
+    flags = []
+    injective = True
+    for m in range(1, gm_max + 1):
+        if m >= 2 and params.p == 0:
+            flags.append(None)
+        else:
+            injective = injective and _tail_injective(layers, m - 1)
+            flags.append(injective)
+    return tuple(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +497,18 @@ def classify(lam, params, oracle_degree_limit=ORACLE_DEGREE_LIMIT):
     character oracles up to ``oracle_degree_limit`` (the oracles cost a
     full degree-r character decomposition; the closed forms are digit
     arithmetic).  Any disagreement raises :class:`OracleMismatch`."""
+    return classify_with_kernels(lam, params, 0, oracle_degree_limit)[0]
+
+
+def classify_with_kernels(lam, params, gm_max, oracle_degree_limit=ORACLE_DEGREE_LIMIT):
+    """``classify`` together with the ``is_gm_injective`` verdicts for
+    m = 1..gm_max (None where undefined: m >= 2 in characteristic zero).
+    The digits are expanded once and every closed form reads that list."""
     lam = _check_weight(lam)
-    div = divind_injective_closed(lam, params)
-    crit = is_critical_closed(lam, params)
-    inf = is_inf_injective_closed(lam, params)
+    layers = _layers(lam, params)
+    div = _divind_closed(lam, params, layers)
+    crit = _all_critical(layers)
+    inf = _tail_injective(layers, 0)
     if crit != (div == 0):
         raise OracleMismatch(
             "criticality of %r at %s inconsistent with divisibility index %d" % (lam, params, div)
@@ -489,8 +533,8 @@ def classify(lam, params, oracle_degree_limit=ORACLE_DEGREE_LIMIT):
             raise OracleMismatch(
                 "injectivity of %r at %s: closed %r vs inequality %r" % (lam, params, inf, inf_o)
             )
-    std = standard_form(lam, params) if inf else None
-    return Classification(lam, params, crit, div, inf, std)
+    std = _standard_form(lam, params, div) if inf else None
+    return Classification(lam, params, crit, div, inf, std), _kernel_flags(layers, gm_max, params)
 
 
 # oracle adapters for the rank-generic criterion layer

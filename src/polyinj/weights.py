@@ -13,15 +13,20 @@ e-regular, and iterating on lbar gives the mixed-base digit expansion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 
 class Weight(tuple):
-    """An integer vector (lam_1, ..., lam_n)."""
+    """An integer vector (lam_1, ..., lam_n).  Entries are coerced with
+    ``operator.index``, so ints, bools and numpy integers are accepted and
+    anything non-integral (a float, say) is a ValueError, never truncated."""
 
     def __new__(cls, entries):
-        w = tuple.__new__(cls, (int(a) for a in entries))
+        if type(entries) is cls:
+            return entries  # immutable, and its entries are already ints
+        w = tuple.__new__(cls, map(_integer_entry, entries))
         if not w:
             raise ValueError("a weight needs at least one entry")
         return w
@@ -71,6 +76,18 @@ class Weight(tuple):
         return "Weight(%s)" % ", ".join(str(a) for a in self)
 
 
+def _integer_entry(a):
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise ValueError("weight entry %r is not an integer" % (a,)) from None
+
+
+def _int_weight(entries):
+    """A Weight of entries that are already ints, without coercing them."""
+    return tuple.__new__(Weight, entries)
+
+
 def omega(n):
     """The all-ones weight (1, ..., 1), the exponent of the determinant."""
     return Weight((1,) * n)
@@ -99,16 +116,16 @@ def eadic_split(lam, e):
     mod e.  Dominance and polynomiality of lam are inherited by lbar.
     """
     lam = Weight(lam)
+    e = operator.index(e)
     if e < 1:
         raise ValueError("base must be a positive integer")
     digits = []
     prev = 0  # plays the role of lam0_{n+1}, pinning the last entry to [0, e)
-    for a in lam[::-1]:
-        prev = prev + (a - prev) % e
+    for a in reversed(lam):
+        prev += (a - prev) % e
         digits.append(prev)
-    lam0 = Weight(digits[::-1])
-    lbar = Weight((a - b) // e for a, b in zip(lam, lam0))
-    return lam0, lbar
+    digits.reverse()
+    return _int_weight(digits), _int_weight([(a - b) // e for a, b in zip(lam, digits)])
 
 
 def dominance_leq(lam, mu):

@@ -205,9 +205,9 @@ def test_selfcheck_reports_corrupted_closed_form(monkeypatch):
     named by the equivalence suite, with a nonzero exit."""
     original = gl2._divind_formula
 
-    def corrupted(lam, params):
-        value = original(lam, params)
-        return value + 1 if lam.degree() > 0 else value
+    def corrupted(layers):
+        value = original(layers)
+        return value + 1 if any(any(d) for d, _, _ in layers) else value  # degree > 0
 
     monkeypatch.setattr(gl2, "_divind_formula", corrupted)
     rc, out = run(["selfcheck", "--deg-max", "3", "--l", "1", "--p", "2"])
@@ -240,6 +240,6 @@ def test_crashed_suite_names_the_exception(monkeypatch):
 
 def test_oracle_mismatch_exit_code(monkeypatch):
     original = gl2._divind_formula
-    monkeypatch.setattr(gl2, "_divind_formula", lambda lam, params: original(lam, params) + 1)
+    monkeypatch.setattr(gl2, "_divind_formula", lambda layers: original(layers) + 1)
     rc, _ = run(["divind", "--weight", "2,1", "--l", "1", "--p", "2"])
     assert rc == 2

@@ -3,12 +3,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyinj import checks, gl2
+from polyinj import checks, cli, gl2
 from polyinj.characters import Character, PeelError, min_last_entry, peel_into_basis
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
     TOP_DIGIT_SMALL,
     classify,
+    classify_with_kernels,
     comp_factor_oracle,
     decomposition_number,
     divind_injective_closed,
@@ -270,6 +271,17 @@ def test_gm_injective_examples():
         is_gm_injective(W(2, 1), 0, P12)
 
 
+def test_gm_injective_validates_before_expanding(monkeypatch):
+    def no_expansion(lam, params):
+        raise AssertionError("expanded the digits of %r before validating m" % (lam,))
+
+    monkeypatch.setattr(gl2, "digit_expansion", no_expansion)
+    with pytest.raises(ValueError, match="kernel index"):
+        is_gm_injective(W(2, 1), 0, P12)
+    with pytest.raises(ValueError, match="positive characteristic"):
+        is_gm_injective(W(2, 2), 2, P20)
+
+
 def test_gm_injective_characteristic_zero():
     assert is_gm_injective(W(2, 2), 1, P20) is True
     with pytest.raises(ValueError):
@@ -395,3 +407,33 @@ def test_closed_forms_hold_at_random_degrees(case):
         for m in (2, 3):
             expected = cls.inf_injective and is_gm_injective(lbar, m - 1, params.classical())
             assert flags[m - 1] == expected
+    # classify reads one shared digit list; each entry point alone builds
+    # its own, and both must give the same verdict
+    assert cls.divind == divind_injective_closed(lam, params)
+    assert cls.critical == is_critical_closed(lam, params)
+    assert cls.inf_injective == is_inf_injective_closed(lam, params)
+    if cls.inf_injective:
+        assert cls.standard_form == standard_form(lam, params)
+    # a table row's kernel flags come off that list too
+    row, gm_flags = classify_with_kernels(lam, params, 3)
+    assert row == cls
+    assert gm_flags == tuple(is_gm_injective(lam, m, params) if params.p or m == 1 else None
+                             for m in (1, 2, 3))
+
+
+def test_verdict_expands_digits_once(monkeypatch):
+    calls = []
+    original = gl2.digit_expansion
+
+    def counted(lam, params):
+        calls.append(lam)
+        return original(lam, params)
+
+    monkeypatch.setattr(gl2, "digit_expansion", counted)
+    lam = W(10 ** 12 + 234567, 3 * 10 ** 11 + 89)
+    gl2._divind_by_layers.cache_clear()
+    classify(lam, P32)
+    assert calls == [lam]
+    del calls[:]
+    rows = cli.table_rows(6, P12, gm_max=3)
+    assert len(rows) == len(calls) == 16

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from polyinj.gl2 import classify
 from polyinj.weights import (
     _PRIME_LIMIT,
     GroupParams,
@@ -28,6 +29,22 @@ def test_weight_basics():
     assert w - Weight((1, 1)) == (4, 1)
     assert 3 * Weight((1, 0)) == (3, 0)
     assert -Weight((1, -2)) == (-1, 2)
+
+
+def test_weight_entries_must_be_integers():
+    for entries in ((2.7, 1), (2, 1.0), ("2", 1), (None, 0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Weight(entries)
+    with pytest.raises(ValueError, match="2.9"):
+        classify((2.9, 1.2), GroupParams(1, 2))
+    # ints, bools and anything with __index__ (numpy integers, say) are
+    # accepted as exact ints
+    class Index:
+        def __index__(self):
+            return 7
+
+    w = Weight((Index(), True, False))
+    assert w == (7, 1, 0) and all(type(a) is int for a in w)
 
 
 def test_weight_rank_mismatch():
