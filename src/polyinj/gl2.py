@@ -11,19 +11,17 @@ symmetric power), and the layers are Frobenius-twisted by 1, e, e*p,
 e*p^2, ...  In characteristic zero the layer under the twist is semisimple
 and contributes a single Schur character.
 
-Vectors.  Every rank-2 character the oracles handle is homogeneous of
-some degree r and symmetric, so inside this module it is an integer
-coefficient vector v of length r + 1 with v[k] the coefficient of
-x^(r-k) y^k.  The Schur character of (a, b), and hence a digit character,
-is a run of ones on [b, a]; the Frobenius twist by f spreads the entries
-f apart; a product is a convolution.  Decomposing the Schur characters of
-one degree into simple characters is a single triangular sweep over the
-dominant half k <= r//2, costing O(r) per row and per composition factor
-found, so the whole decomposition table stays cheap far beyond degree
-1000.  Tableau enumeration and dict-based peeling are left to the
-verification suites, as oracles for this path.  The public functions
-still take and return :class:`Character` values and dicts keyed by
-:class:`Weight`.
+Vectors.  Every rank-2 character here is homogeneous of some degree r
+and symmetric, so inside this module it is an integer coefficient vector
+v with v[k] the coefficient of x^(r-k) y^k.  A Schur character (so a
+digit character) is a run of ones, det^d is a shift by d, and every
+product is ``_twisted_product``: a vector times the Frobenius twist of
+another.  Simple characters, symmetric powers and standard forms are such
+products; an injective character is its column of the decomposition
+table (one triangular sweep per degree) summed as runs of ones.  Only
+``_vector_character`` builds a :class:`Character`, apart from the
+``sym_power_factor_oracle`` adapter; tableaux, dict peeling and the
+suites' dict arithmetic are the oracles for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -44,11 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, sub
 from typing import Optional
 
-from .characters import Character, PeelError, frobenius_twist, peel_into_basis
-from .schur import h_character, partitions, schur_character
+from .characters import Character, PeelError, peel_into_basis
+from .schur import h_character, partitions
 from .weights import GroupParams, Weight, digit_expansion, eadic_split, omega
 
 
@@ -85,15 +84,16 @@ def _schur_vector(lam):
     return [0] * b + [1] * (a - b + 1) + [0] * b
 
 
-def _twisted_product(under, factor, lam0):
-    """Coefficient vector of s_lam0 times the Frobenius twist of ``under`` by
-    ``factor`` (which spreads its entries ``factor`` apart): one strided
-    add of ``under`` per monomial of the run of ones on [lam0_2, lam0_1]."""
-    a, b = lam0
+def _twisted_product(under, factor, left):
+    """Coefficient vector of ``left`` times the Frobenius twist of ``under``
+    by ``factor`` (which spreads its entries ``factor`` apart): one strided
+    add of ``under``, scaled by c, per nonzero entry c of ``left``."""
     span = (len(under) - 1) * factor + 1
-    out = [0] * (span + a + b)
-    for i in range(b, a + 1):
-        out[i:i + span:factor] = map(add, out[i:i + span:factor], under)
+    out = [0] * (span + len(left) - 1)
+    for i, c in enumerate(left):
+        if c:
+            step = under if c == 1 else [c * u for u in under]
+            out[i:i + span:factor] = map(add, out[i:i + span:factor], step)
     return out
 
 
@@ -122,7 +122,7 @@ def _simple_character(lam, params):
         under = _simple_character(lbar, params.classical())
     else:
         under = (1,)
-    return tuple(_twisted_product(under, params.e, lam0))
+    return tuple(_twisted_product(under, params.e, _schur_vector(lam0)))
 
 
 def sympow_character_recursive(r, params):
@@ -136,31 +136,26 @@ def sympow_character_recursive(r, params):
     """
     if r < 0:
         raise ValueError("symmetric power degree must be nonnegative")
-    return _sympow_recursive(r, params)
+    return _vector_character(_sympow_recursive(r, params))
 
 
 @lru_cache(maxsize=None)
 def _sympow_recursive(r, params):
     if r == 0:
-        return Character.one(2)
+        return (1,)
     e = params.e
     r0, rbar = r % e, r // e
 
     def bar_power(k):
-        if k < 0:
-            return Character.zero(2)
         if params.p == 0:
-            return h_character(k, 2)
+            return _schur_vector((k, 0))  # h_k = s_(k,0)
         return _sympow_recursive(k, params.classical())
 
-    if r0 == e - 1:
-        return simple_character(Weight((e - 1, 0)), params) * frobenius_twist(bar_power(rbar), e)
-    out = simple_character(Weight((r0, 0)), params) * frobenius_twist(bar_power(rbar), e)
-    if rbar >= 1:
-        out = out + simple_character(Weight((e - 1, r0 + 1)), params) * frobenius_twist(
-            bar_power(rbar - 1), e
-        )
-    return out
+    out = _twisted_product(bar_power(rbar), e, _simple_character(Weight((r0, 0)), params))
+    if rbar >= 1 and r0 < e - 1:
+        top = _simple_character(Weight((e - 1, r0 + 1)), params)
+        out = map(add, out, _twisted_product(bar_power(rbar - 1), e, top))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -215,15 +210,22 @@ def injective_character(lam, params):
     ``lam`` in the polynomial category: by reciprocity its good filtration
     has the induced module of highest weight tau occurring
     [induced(tau) : simple(lam)] times."""
+    return _vector_character(_injective_vector(lam, params))
+
+
+def _injective_vector(lam, params):
+    """Coefficient vector of the injective envelope of ``lam``: its column of
+    the decomposition table, summed as runs of ones through a difference array."""
     lam = _check_weight(lam)
     r = lam.degree()
     table = _decomposition_at_degree(r, params)
-    out = Character.zero(2)
+    diff = [0] * (r + 2)
     for tau in partitions2(r):
         m = table[tau].get(lam, 0)
         if m:
-            out = out + m * schur_character(tau)
-    return out
+            diff[tau[1]] += m
+            diff[tau[0] + 1] -= m
+    return list(accumulate(diff[:-1]))
 
 
 def _sympow_simple_factors(r, params):
@@ -425,14 +427,12 @@ def standard_form_character(desc, params):
     """Character of the standard tensor form: first-kernel injective times
     determinant power times the twisted classical injective character."""
     if params.p == 0:
-        bar = schur_character(desc.bar_weight)
+        bar = _schur_vector(desc.bar_weight)
     else:
-        bar = injective_character(desc.bar_weight, params.classical())
-    return (
-        injective_character(desc.q_weight, params)
-        * Character.monomial((desc.det_power, desc.det_power))
-        * frobenius_twist(bar, params.e)
-    )
+        bar = _injective_vector(desc.bar_weight, params.classical())
+    shift = [0] * desc.det_power  # det^d shifts the vector by d
+    prod = _twisted_product(bar, params.e, _injective_vector(desc.q_weight, params))
+    return _vector_character(shift + prod + shift)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinj import checks, cli, gl2
-from polyinj.characters import Character, PeelError, min_last_entry, peel_into_basis
+from polyinj.characters import Character, PeelError, frobenius_twist, min_last_entry, peel_into_basis
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
     TOP_DIGIT_SMALL,
@@ -36,6 +36,12 @@ P13 = GroupParams(1, 3)
 P22 = GroupParams(2, 2)
 P32 = GroupParams(3, 2)
 P20 = GroupParams(2, 0)
+
+# the parameter grid plus composite l, p = 7 and 11 and more characteristic-zero pairs
+WIDE_GRID = checks.PARAM_GRID + (
+    GroupParams(4, 2), GroupParams(6, 3), GroupParams(9, 2), GroupParams(1, 7), GroupParams(5, 7),
+    GroupParams(4, 0), GroupParams(6, 0), GroupParams(2, 2), GroupParams(3, 3), GroupParams(1, 11),
+)
 
 
 def W(*entries):
@@ -119,11 +125,9 @@ def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
 
 
 def test_peeling_soundness_wide_grid():
-    """Peeling agrees with the decomposition table over the parameter grid,
-    composite l, p = 7 and characteristic zero, up to degree 60."""
-    extra = (GroupParams(4, 2), GroupParams(6, 3), GroupParams(9, 2), GroupParams(1, 7),
-             GroupParams(5, 7), GroupParams(4, 0), GroupParams(2, 2), GroupParams(3, 3))
-    result = checks.check_peeling_soundness(60, checks.PARAM_GRID + extra)
+    """Peeling agrees with the decomposition table over the wide grid, up to
+    degree 60."""
+    result = checks.check_peeling_soundness(60, WIDE_GRID)
     assert result.ok, result.failures
 
 
@@ -138,6 +142,34 @@ def test_decomposition_table_reach():
     basis = lambda w: simple_character(w, params)
     for tau in (W(1000, 0), W(700, 300), W(500, 500)):
         assert table[tau] == peel_into_basis(schur_character(tau), basis)
+
+
+def test_vector_characters_match_dict_formulas_wide_grid():
+    """On the wide grid the vector characters equal the dict formulas: the
+    injective character is the sum of [induced(tau) : simple(lam)] Schur
+    characters, the standard form is Q times det^d times the twisted
+    classical injective (both up to degree 30), and the symmetric-power
+    recursion is h_r (up to degree 60)."""
+    for params in WIDE_GRID:
+        for r in range(31):
+            for lam in partitions2(r):
+                expected = Character.zero(2)
+                for tau in partitions2(r):
+                    expected = expected + decomposition_number(tau, lam, params) * schur_character(tau)
+                assert injective_character(lam, params) == expected, (lam, params)
+                if not is_inf_injective_closed(lam, params):
+                    continue
+                desc = standard_form(lam, params)
+                if params.p == 0:
+                    bar = schur_character(desc.bar_weight)
+                else:
+                    bar = injective_character(desc.bar_weight, params.classical())
+                expected = (injective_character(desc.q_weight, params)
+                            * Character.monomial((desc.det_power, desc.det_power))
+                            * frobenius_twist(bar, params.e))
+                assert standard_form_character(desc, params) == expected, (lam, params)
+        for r in range(61):
+            assert sympow_character_recursive(r, params) == h_character(r, 2), (r, params)
 
 
 def test_injective_character_examples():
