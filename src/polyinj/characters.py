@@ -42,6 +42,15 @@ class Character:
         self._terms = clean
 
     @classmethod
+    def _from_clean(cls, n, terms):
+        """A character taking ``terms`` as its term map unchecked: the keys
+        must be distinct length-n int tuples and every value a nonzero int."""
+        res = cls.__new__(cls)
+        res.n = n
+        res._terms = terms
+        return res
+
+    @classmethod
     def zero(cls, n):
         return cls(n)
 
@@ -87,14 +96,10 @@ class Character:
                 out[exp] = s
             elif exp in out:
                 del out[exp]
-        res = Character(self.n)
-        res._terms = out
-        return res
+        return Character._from_clean(self.n, out)
 
     def __neg__(self):
-        res = Character(self.n)
-        res._terms = {exp: -m for exp, m in self._terms.items()}
-        return res
+        return Character._from_clean(self.n, {exp: -m for exp, m in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -118,9 +123,7 @@ class Character:
                     out[key] = s
                 elif key in out:
                     del out[key]
-        res = Character(self.n)
-        res._terms = out
-        return res
+        return Character._from_clean(self.n, out)
 
     __rmul__ = __mul__
 
@@ -136,9 +139,8 @@ class Character:
         """Scale every exponent vector entrywise by ``factor``."""
         if factor < 1:
             raise ValueError("twist factor must be a positive integer")
-        res = Character(self.n)
-        res._terms = {tuple(factor * a for a in exp): m for exp, m in self._terms.items()}
-        return res
+        return Character._from_clean(
+            self.n, {tuple(factor * a for a in exp): m for exp, m in self._terms.items()})
 
     def is_symmetric(self):
         """True iff the term map is invariant under entry permutations."""

@@ -7,7 +7,10 @@ the arithmetic context as ``--l`` and ``--p`` (characteristic-zero quantum
 parameters are ``--p 0`` with ``--l`` at least 2).  Output formats: text
 (default), json, csv (tables only).  Each subcommand returns its whole
 stdout as a string and :func:`main` writes it.  Exit codes: 0 success,
-1 usage error, 2 invariant or oracle disagreement.
+1 usage error, 2 invariant or oracle disagreement.  Every subcommand is
+declared once in ``COMMANDS``; each :func:`main` call builds argparse
+options only for the subcommand its first argument names (for all of
+them on help, no arguments or an unknown name), with the same output.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
 
 from . import checks, gl2, injectivity
 from .characters import PeelError
@@ -289,72 +293,84 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_params(sub, required=True):
-    sub.add_argument("--l", type=int, required=required, default=None,
-                     help="quantum parameter class (1 for q=1, else the root-of-unity order)")
-    sub.add_argument("--p", type=int, required=required, default=None,
-                     help="field characteristic (0 or a prime)")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def build_parser():
+def _params(required=True):
+    return [
+        _arg("--l", type=int, required=required, default=None,
+             help="quantum parameter class (1 for q=1, else the root-of-unity order)"),
+        _arg("--p", type=int, required=required, default=None,
+             help="field characteristic (0 or a prime)"),
+    ]
+
+
+_TEXT_JSON = _arg("--format", choices=("text", "json"), default="text")
+
+
+# one subcommand: its name, help line, handler and the (flags, kwargs)
+# pairs of its ``add_argument`` calls, in order
+Command = namedtuple("Command", "name help func args")
+
+
+COMMANDS = {cmd.name: cmd for cmd in [
+    Command("expand", "digit expansion of a weight", cmd_expand,
+            [_arg("--weight", required=True), *_params(), _TEXT_JSON]),
+    Command("char", "print a character", cmd_char, [
+        _arg("kind", choices=("schur", "simple", "injective", "sympow")),
+        _arg("--weight", required=True,
+             help="highest weight; for sympow the degree is its entry sum"),
+        *_params(required=False), _TEXT_JSON]),
+    Command("divind", "divisibility index of an injective envelope (rank 2)", cmd_divind, [
+        _arg("--weight", required=True), *_params(),
+        _arg("--check", action="store_true", help="also run the character oracle"),
+        _TEXT_JSON]),
+    Command("classify", "full classification (rank 2) or criterion-layer verdict", cmd_classify, [
+        _arg("--weight", required=True), *_params(),
+        _arg("--check", action="store_true",
+             help="force the character oracles regardless of degree"),
+        _TEXT_JSON]),
+    Command("table", "classification table over all rank-2 weights up to a degree", cmd_table, [
+        _arg("--deg-max", type=int, required=True, dest="deg_max"), *_params(),
+        _arg("--gm-max", type=int, default=0, dest="gm_max",
+             help="also test injectivity over Frobenius kernels up to this index"),
+        _arg("--format", choices=("text", "json", "csv"), default="text")]),
+    Command("selfcheck", "run every invariant suite; nonzero exit on any failure", cmd_selfcheck,
+            [_arg("--deg-max", type=int, default=20, dest="deg_max"), *_params(required=False)]),
+]}
+
+
+def build_parser(command=None):
+    """The argument parser, with options for ``command`` alone when it names
+    a subcommand and for every subcommand otherwise.  Either build prints
+    the same bytes for every command line it accepts or rejects."""
     parser = _Parser(prog="polyinj",
                      description="characters, divisibility indices and injectivity "
                                  "classification for polynomial modules of (quantized) GL_n")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser("expand", help="digit expansion of a weight")
-    sub.add_argument("--weight", required=True)
-    _add_params(sub)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(func=cmd_expand)
-
-    sub = subs.add_parser("char", help="print a character")
-    sub.add_argument("kind", choices=("schur", "simple", "injective", "sympow"))
-    sub.add_argument("--weight", required=True,
-                     help="highest weight; for sympow the degree is its entry sum")
-    _add_params(sub, required=False)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(func=cmd_char)
-
-    sub = subs.add_parser("divind",
-                          help="divisibility index of an injective envelope (rank 2)")
-    sub.add_argument("--weight", required=True)
-    _add_params(sub)
-    sub.add_argument("--check", action="store_true", help="also run the character oracle")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(func=cmd_divind)
-
-    sub = subs.add_parser("classify",
-                          help="full classification (rank 2) or criterion-layer verdict")
-    sub.add_argument("--weight", required=True)
-    _add_params(sub)
-    sub.add_argument("--check", action="store_true",
-                     help="force the character oracles regardless of degree")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(func=cmd_classify)
-
-    sub = subs.add_parser("table",
-                          help="classification table over all rank-2 weights up to a degree")
-    sub.add_argument("--deg-max", type=int, required=True, dest="deg_max")
-    _add_params(sub)
-    sub.add_argument("--gm-max", type=int, default=0, dest="gm_max",
-                     help="also test injectivity over Frobenius kernels up to this index")
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.set_defaults(func=cmd_table)
-
-    sub = subs.add_parser("selfcheck",
-                          help="run every invariant suite; nonzero exit on any failure")
-    sub.add_argument("--deg-max", type=int, default=20, dest="deg_max")
-    _add_params(sub, required=False)
-    sub.set_defaults(func=cmd_selfcheck)
-
+    if command is None:
+        chosen, metavar = COMMANDS.values(), None
+    else:
+        # errors such as "unrecognized arguments" come from the top-level
+        # parser, whose usage line must still list every subcommand; a
+        # metavar in the full build would rename "argument command" instead
+        chosen, metavar = [COMMANDS[command]], "{%s}" % ",".join(COMMANDS)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                 metavar=metavar)
+    for cmd in chosen:
+        sub = subs.add_parser(cmd.name, help=cmd.help)
+        for flags, kwargs in cmd.args:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=cmd.func)
     return parser
 
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

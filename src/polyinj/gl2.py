@@ -100,7 +100,7 @@ def _twisted_product(under, factor, left):
 def _vector_character(vec):
     """The :class:`Character` of a coefficient vector."""
     r = len(vec) - 1
-    return Character(2, {(r - k, k): c for k, c in enumerate(vec) if c})
+    return Character._from_clean(2, {(r - k, k): c for k, c in enumerate(vec) if c})
 
 
 def simple_character(lam, params):

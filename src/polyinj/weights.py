@@ -46,7 +46,7 @@ class Weight(tuple):
 
     def reversed(self):
         """Entry reversal (the longest-Weyl-element action)."""
-        return Weight(self[::-1])
+        return _int_weight(self[::-1])
 
     def _same_rank(self, other):
         if len(self) != len(other):
@@ -54,21 +54,26 @@ class Weight(tuple):
                 "rank mismatch: %d-entry vs %d-entry weight" % (len(self), len(other))
             )
 
+    # sums, differences and integer multiples of Weights have int entries
+    # already; only a plain-tuple operand is coerced
+
     def __add__(self, other):
         self._same_rank(other)
-        return Weight(a + b for a, b in zip(self, other))
+        build = _int_weight if type(other) is Weight else Weight
+        return build([a + b for a, b in zip(self, other)])
 
     def __sub__(self, other):
         self._same_rank(other)
-        return Weight(a - b for a, b in zip(self, other))
+        build = _int_weight if type(other) is Weight else Weight
+        return build([a - b for a, b in zip(self, other)])
 
     def __neg__(self):
-        return Weight(-a for a in self)
+        return _int_weight([-a for a in self])
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return Weight(k * a for a in self)
+        return _int_weight([k * a for a in self])
 
     __rmul__ = __mul__
 
@@ -90,7 +95,7 @@ def _int_weight(entries):
 
 def omega(n):
     """The all-ones weight (1, ..., 1), the exponent of the determinant."""
-    return Weight((1,) * n)
+    return _int_weight((1,) * n)
 
 
 def delta(n):

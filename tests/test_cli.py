@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import time
@@ -243,3 +244,25 @@ def test_oracle_mismatch_exit_code(monkeypatch):
     monkeypatch.setattr(gl2, "_divind_formula", lambda layers: original(layers) + 1)
     rc, _ = run(["divind", "--weight", "2,1", "--l", "1", "--p", "2"])
     assert rc == 2
+
+
+def test_classify_builds_only_its_own_parser(monkeypatch):
+    options, progs = [], []
+    add_argument = argparse._ActionsContainer.add_argument
+    init = argparse.ArgumentParser.__init__
+
+    def counting_add_argument(self, *flags, **kwargs):
+        options.append(flags[0])
+        return add_argument(self, *flags, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add_argument)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    rc, _ = run(["classify", "--weight", "2,1", "--l", "1", "--p", "2"])
+    assert rc == 0
+    assert progs == ["polyinj", "polyinj classify"]
+    assert options == ["-h", "-h", "--weight", "--l", "--p", "--check", "--format"]
+

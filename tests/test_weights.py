@@ -47,6 +47,17 @@ def test_weight_entries_must_be_integers():
     assert w == (7, 1, 0) and all(type(a) is int for a in w)
 
 
+def test_weight_arithmetic_keeps_int_entries():
+    lam = Weight((3, 1))
+    for w in (lam + Weight((1, 1)), lam - Weight((1, 2)), -lam, 2 * lam, lam + (True, 2)):
+        assert type(w) is Weight and all(type(a) is int for a in w)
+    assert lam + (True, 2) == (4, 3)
+    # a plain-tuple operand is still coerced entry by entry
+    with pytest.raises(ValueError, match="not an integer"):
+        Weight((1, 2)) + (0.5, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        Weight((1, 2)) - (1, 0.5)
+
 def test_weight_rank_mismatch():
     with pytest.raises(ValueError):
         Weight((1, 0)) + Weight((1, 0, 0))
