@@ -343,8 +343,8 @@ COMMANDS = {cmd.name: cmd for cmd in [
 
 def build_parser(command=None):
     """The argument parser, with options for ``command`` alone when it names
-    a subcommand and for every subcommand otherwise.  Either build prints
-    the same bytes for every command line it accepts or rejects."""
+    a subcommand and for every subcommand otherwise.  On a command line
+    that starts with ``command`` both builds print the same bytes."""
     parser = _Parser(prog="polyinj",
                      description="characters, divisibility indices and injectivity "
                                  "classification for polynomial modules of (quantized) GL_n")
