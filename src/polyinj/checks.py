@@ -37,6 +37,12 @@ PARAM_GRID = (
     GroupParams(3, 0),
 )
 
+# the parameter grid plus composite l, p = 7 and 11 and more characteristic-zero pairs
+WIDE_GRID = PARAM_GRID + (
+    GroupParams(4, 2), GroupParams(6, 3), GroupParams(9, 2), GroupParams(1, 7), GroupParams(5, 7),
+    GroupParams(4, 0), GroupParams(6, 0), GroupParams(2, 2), GroupParams(3, 3), GroupParams(1, 11),
+)
+
 # positive-characteristic pairs for the higher-kernel suite
 KERNEL_GRID = (
     GroupParams(1, 2),
@@ -475,15 +481,27 @@ def check_necessary_inequality(deg_max, grid):
 
 def check_higher_kernels(deg_max, grid):
     """Injectivity over the (m+1)-th Frobenius kernel implies injectivity
-    over the m-th."""
+    over the m-th, and the m-th kernel verdict is the conjunction of the
+    first-kernel inequality oracle on the first m iterated quotients: lam
+    at ``params``, its e-adic quotient at the classical parameters, then
+    the base-p quotients."""
     res = SuiteResult("higher-kernels")
     for params in grid:
         for lam in _weights2(deg_max):
             flags = [gl2.is_gm_injective(lam, m, params) for m in range(1, KERNEL_M_MAX + 2)]
+            expected, ok, quotient, at = [], True, lam, params
+            for _ in flags:
+                ok = ok and gl2.is_inf_injective_inequality(quotient, at)
+                expected.append(ok)
+                quotient, at = eadic_split(quotient, at.e)[1], at.classical()
             for m in range(KERNEL_M_MAX):
                 res.count()
                 if flags[m + 1] and not flags[m]:
                     res.fail("lam=%r %s: kernel %d injective but %d not" % (lam, params, m + 2, m + 1))
+            for m, (flag, want) in enumerate(zip(flags, expected), 1):
+                if flag != want:
+                    res.fail("lam=%r %s: kernel %d closed %r vs iterated inequality %r"
+                             % (lam, params, m, flag, want))
     return res
 
 
@@ -496,12 +514,8 @@ def check_criterion_layer(deg_max, grid):
         e = params.e
         for lam in _weights2(deg_max):
             res.count()
-            lam0, lbar = eadic_split(lam, e)
-            if params.p == 0:
-                bar_div = lbar[1]
-            else:
-                bar_div = gl2.divind_injective_oracle(lbar, params.classical())
-            verdict = injectivity.injectivity_criterion(lam0[0], bar_div, 2, e)
+            lam0 = eadic_split(lam, e)[0]
+            verdict = gl2.is_inf_injective_inequality(lam, params)
             if verdict != gl2.is_inf_injective_closed(lam, params):
                 res.fail("lam=%r %s: criterion %r vs digit test" % (lam, params, verdict))
             if injectivity.steinberg_range(lam0, e) and not verdict:
@@ -523,8 +537,8 @@ def check_table_determinism(deg_max):
     for params in (GroupParams(1, 2), GroupParams(2, 3)):
         for fmt in ("text", "csv", "json"):
             res.count()
-            first = render_table(table_rows(deg_max, params, gm_max=2), fmt, gm_max=2)
-            second = render_table(table_rows(deg_max, params, gm_max=2), fmt, gm_max=2)
+            first = render_table(table_rows(deg_max, params), fmt, gm_max=2)
+            second = render_table(table_rows(deg_max, params), fmt, gm_max=2)
             if first != second:
                 res.fail("format %s at %s not deterministic" % (fmt, params))
     return res

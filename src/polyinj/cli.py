@@ -84,10 +84,9 @@ def _header(lam, params):
     return ["weight: (%s)" % _weight_str(lam), "params: %s e=%d" % (params, params.e)]
 
 
-def classification_record(cls, gm_flags=()):
-    """JSON record of a rank-2 classification; ``gm_flags`` holds the
-    Frobenius-kernel verdicts for m = 1, 2, ... (None: undefined in
-    characteristic 0)."""
+def classification_record(cls, gm_max=0):
+    """JSON record of a rank-2 classification with its Frobenius-kernel
+    verdicts for m = 1..gm_max (None: undefined in characteristic 0)."""
     std = cls.standard_form
     return {
         "degree": cls.lam.degree(),
@@ -97,8 +96,8 @@ def classification_record(cls, gm_flags=()):
         "critical": cls.critical,
         "divind": cls.divind,
         "inf_injective": cls.inf_injective,
-        "gm_flags": list(gm_flags),
-        "gm_injective_up_to": max((m for m, flag in enumerate(gm_flags, 1) if flag), default=0),
+        "gm_flags": list(cls.gm_flags(gm_max)),
+        "gm_injective_up_to": min(cls.kernel_depth, gm_max),
         "standard_form": None if std is None else {
             "q_weight": list(std.q_weight),
             "det_power": std.det_power,
@@ -112,32 +111,31 @@ def classification_record(cls, gm_flags=()):
 # table
 
 
-def table_rows(deg_max, params, gm_max=0):
-    """One ``(classification, gm_flags)`` row per rank-2 partition of degree
-    <= deg_max, sorted by (degree, lex-descending weight)."""
-    return [gl2.classify_with_kernels(lam, params, gm_max)
-            for r in range(deg_max + 1) for lam in partitions(r, 2)]
+def table_rows(deg_max, params):
+    """One classification per rank-2 partition of degree <= deg_max, sorted
+    by (degree, lex-descending weight)."""
+    return [gl2.classify(lam, params) for r in range(deg_max + 1) for lam in partitions(r, 2)]
 
 
-def _row_fields(cls, gm_flags, blank):
+def _row_fields(cls, gm_max, blank):
     """One table row for text (``blank`` is "-") or csv (``blank`` is "")."""
     std = cls.standard_form.rendered() if cls.standard_form else blank
     return ([str(cls.lam.degree()), _weight_str(cls.lam), _bool_str(cls.critical),
              str(cls.divind), _bool_str(cls.inf_injective)]
-            + [_bool_str(flag, blank) for flag in gm_flags] + [std])
+            + [_bool_str(flag, blank) for flag in cls.gm_flags(gm_max)] + [std])
 
 
 def render_table(rows, fmt, gm_max=0):
     if fmt == "json":
-        return _json([classification_record(cls, flags) for cls, flags in rows])
+        return _json([classification_record(cls, gm_max) for cls in rows])
     header = (["degree", "weight", "critical", "divind", "inf_injective"]
               + ["gm%d" % m for m in range(1, gm_max + 1)] + ["standard_form"])
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
-            [header] + [_row_fields(cls, flags, "") for cls, flags in rows])
+            [header] + [_row_fields(cls, gm_max, "") for cls in rows])
         return buf.getvalue()
-    return _lines(["\t".join(header)] + ["\t".join(_row_fields(cls, flags, "-")) for cls, flags in rows])
+    return _lines(["\t".join(header)] + ["\t".join(_row_fields(cls, gm_max, "-")) for cls in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +219,9 @@ def cmd_classify(args):
     lam = parse_weight(args.weight)
     params = parse_params(args)
     if lam.n == 2:
-        checked = args.check or lam.degree() <= gl2.ORACLE_DEGREE_LIMIT
-        limit = lam.degree() if checked else gl2.ORACLE_DEGREE_LIMIT
-        cls = gl2.classify(lam, params, oracle_degree_limit=limit)
+        cls = gl2.classify(lam, params, check=args.check)
         if args.format == "json":
-            return _json(dict(classification_record(cls), oracle_checked=checked))
+            return _json(dict(classification_record(cls), oracle_checked=cls.oracle_checked))
         lines = _header(lam, params) + [
             "critical: %s" % _bool_str(cls.critical),
             "divind: %d" % cls.divind,
@@ -233,7 +229,7 @@ def cmd_classify(args):
         ]
         if cls.standard_form is not None:
             lines.append("standard_form: %s [%s]" % (cls.standard_form.rendered(), cls.standard_form.branch))
-        if checked:
+        if cls.oracle_checked:
             lines.append("oracle_checked: true")
         return _lines(lines)
     # other ranks: the criterion layer decides what it can
@@ -263,7 +259,7 @@ def cmd_table(args):
         raise UsageError("--deg-max must be nonnegative")
     if args.gm_max < 0:
         raise UsageError("--gm-max must be nonnegative")
-    return render_table(table_rows(args.deg_max, params, gm_max=args.gm_max), args.format, gm_max=args.gm_max)
+    return render_table(table_rows(args.deg_max, params), args.format, gm_max=args.gm_max)
 
 
 def cmd_selfcheck(args):

@@ -31,11 +31,11 @@ both and raises :class:`OracleMismatch` rather than return conflicting
 answers.
 
 The closed forms read one digit list, ``digit_expansion(lam).layers()``.
-A verdict expands the digits once: ``classify`` (and
-``classify_with_kernels``, which adds the Frobenius-kernel flags of a
-table row) builds the list and passes it to the divisibility formula, the
-criticality and kernel tests and the standard form.  The public closed
-forms, called alone, each build the list themselves.
+A verdict expands the digits once: ``classify`` builds the list, passes
+it to the divisibility formula, the criticality test, the Frobenius-kernel
+depth (which every kernel test reads) and the standard form, and returns
+one :class:`Classification`.  The public closed forms, called alone, each
+build the list themselves.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from operator import add, sub
 from typing import Optional
 
 from .characters import Character, PeelError, peel_into_basis
+from .injectivity import injectivity_criterion
 from .schur import h_character, partitions
 from .weights import GroupParams, Weight, digit_expansion, eadic_split, omega
 
@@ -336,20 +337,26 @@ def divind_injective_oracle(lam, params):
 # infinitesimal injectivity
 
 
-def _tail_injective(layers, r):
-    """First-kernel test of the weight whose digits are layers[r:]: its
-    lowest digit clears base-1, or a digit above it is not critical.  An
-    empty tail is the zero weight, which is not injective."""
-    if r >= len(layers):
-        return False
-    d, base, _ = layers[r]
-    return d[0] >= base - 1 or not _all_critical(layers[r + 1:])
+def _kernel_depth(layers, params):
+    """Largest m such that the envelope is injective over the m-th Frobenius
+    kernel (at most 1 in characteristic zero): the first-kernel tests of the
+    digit tails from indices 0..m-1 pass.  A tail passes iff its lowest digit
+    clears base-1 or a digit above it is not critical; the empty tail (the
+    zero weight) fails.  One backward pass over the digits."""
+    depth = len(layers)
+    critical_above = True
+    for r in range(len(layers) - 1, -1, -1):
+        d, base, _ = layers[r]
+        if d[0] < base - 1 and critical_above:
+            depth = r
+        critical_above = critical_above and _digit_is_critical(d, base)
+    return min(depth, 1) if params.p == 0 else depth
 
 
 def is_inf_injective_closed(lam, params):
     """Digit-pattern test for injectivity over the first Frobenius kernel:
     the quantum digit clears e-1, or the quotient layer is not critical."""
-    return _tail_injective(_layers(_check_weight(lam), params), 0)
+    return _kernel_depth(_layers(_check_weight(lam), params), params) >= 1
 
 
 def is_inf_injective_inequality(lam, params):
@@ -362,7 +369,7 @@ def is_inf_injective_inequality(lam, params):
         bar_div = lbar[1]
     else:
         bar_div = divind_injective_oracle(lbar, params.classical())
-    return lam0[0] + params.e * bar_div >= params.e - 1
+    return injectivity_criterion(lam0[0], bar_div, 2, params.e)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,7 @@ def standard_form(lam, params):
     defined when it is infinitesimally injective."""
     lam = _check_weight(lam)
     layers = _layers(lam, params)
-    if not _tail_injective(layers, 0):
+    if not _kernel_depth(layers, params):
         raise ValueError("%r is not infinitesimally injective at %s" % (lam, params))
     return _standard_form(lam, params, _divind_closed(lam, params, layers))
 
@@ -451,23 +458,7 @@ def is_gm_injective(lam, m, params):
         raise ValueError("kernel index must be >= 1")
     if m >= 2 and params.p == 0:
         raise ValueError("higher Frobenius kernels need positive characteristic")
-    layers = _layers(_check_weight(lam), params)
-    return all(_tail_injective(layers, r) for r in range(m))
-
-
-def _kernel_flags(layers, gm_max, params):
-    """``is_gm_injective`` for m = 1..gm_max, read off one digit list: the
-    flag for m is the flag for m-1 and the tail test at index m-1.  None
-    where the kernel is undefined (m >= 2 in characteristic zero)."""
-    flags = []
-    injective = True
-    for m in range(1, gm_max + 1):
-        if m >= 2 and params.p == 0:
-            flags.append(None)
-        else:
-            injective = injective and _tail_injective(layers, m - 1)
-            flags.append(injective)
-    return tuple(flags)
+    return m <= _kernel_depth(_layers(_check_weight(lam), params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -477,38 +468,46 @@ def _kernel_flags(layers, gm_max, params):
 @dataclass(frozen=True)
 class Classification:
     """Full verdict for one (weight, params) pair.  critical iff divind = 0,
-    divind <= degree/2, and standard_form is present iff inf_injective."""
+    divind <= degree/2; kernel_depth is the largest m such that the envelope
+    is injective over the m-th Frobenius kernel, and standard_form is
+    present iff inf_injective (kernel_depth >= 1).  oracle_checked: the
+    character oracles confirmed the closed forms."""
 
     lam: Weight
     params: GroupParams
     critical: bool
     divind: int
-    inf_injective: bool
+    kernel_depth: int
     standard_form: Optional[FactorizationDescriptor]
+    oracle_checked: bool
+
+    @property
+    def inf_injective(self):
+        return self.kernel_depth >= 1
+
+    def gm_flags(self, gm_max):
+        """``is_gm_injective`` for m = 1..gm_max; None where the kernel is
+        undefined (m >= 2 in characteristic zero)."""
+        return tuple(None if m >= 2 and self.params.p == 0 else m <= self.kernel_depth
+                     for m in range(1, gm_max + 1))
 
 
-# default highest degree at which classify runs the character oracles,
-# shared by the CLI's classify and table
+# highest degree at which classify runs the character oracles unasked
 ORACLE_DEGREE_LIMIT = 40
 
 
-def classify(lam, params, oracle_degree_limit=ORACLE_DEGREE_LIMIT):
-    """Classify one weight, cross-checking the closed forms against the
-    character oracles up to ``oracle_degree_limit`` (the oracles cost a
-    full degree-r character decomposition; the closed forms are digit
-    arithmetic).  Any disagreement raises :class:`OracleMismatch`."""
-    return classify_with_kernels(lam, params, 0, oracle_degree_limit)[0]
-
-
-def classify_with_kernels(lam, params, gm_max, oracle_degree_limit=ORACLE_DEGREE_LIMIT):
-    """``classify`` together with the ``is_gm_injective`` verdicts for
-    m = 1..gm_max (None where undefined: m >= 2 in characteristic zero).
-    The digits are expanded once and every closed form reads that list."""
+def classify(lam, params, check=False):
+    """Classify one weight from one digit list, cross-checking the closed
+    forms against the character oracles when ``check`` is set or the degree
+    is at most ``ORACLE_DEGREE_LIMIT`` (the oracles cost a full degree-r
+    character decomposition; the closed forms are digit arithmetic).  Any
+    disagreement raises :class:`OracleMismatch`."""
     lam = _check_weight(lam)
     layers = _layers(lam, params)
     div = _divind_closed(lam, params, layers)
     crit = _all_critical(layers)
-    inf = _tail_injective(layers, 0)
+    depth = _kernel_depth(layers, params)
+    inf = depth >= 1
     if crit != (div == 0):
         raise OracleMismatch(
             "criticality of %r at %s inconsistent with divisibility index %d" % (lam, params, div)
@@ -517,7 +516,8 @@ def classify_with_kernels(lam, params, gm_max, oracle_degree_limit=ORACLE_DEGREE
         raise OracleMismatch(
             "divisibility index %d of %r exceeds degree/2" % (div, lam)
         )
-    if lam.degree() <= oracle_degree_limit:
+    checked = check or lam.degree() <= ORACLE_DEGREE_LIMIT
+    if checked:
         div_o = divind_injective_oracle(lam, params)
         if div != div_o:
             raise OracleMismatch(
@@ -534,7 +534,7 @@ def classify_with_kernels(lam, params, gm_max, oracle_degree_limit=ORACLE_DEGREE
                 "injectivity of %r at %s: closed %r vs inequality %r" % (lam, params, inf, inf_o)
             )
     std = _standard_form(lam, params, div) if inf else None
-    return Classification(lam, params, crit, div, inf, std), _kernel_flags(layers, gm_max, params)
+    return Classification(lam, params, crit, div, depth, std, checked)
 
 
 # oracle adapters for the rank-generic criterion layer

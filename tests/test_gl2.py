@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from polyinj import checks, cli, gl2
 from polyinj.characters import Character, PeelError, frobenius_twist, min_last_entry, peel_into_basis
+from polyinj.checks import WIDE_GRID
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
     TOP_DIGIT_SMALL,
     classify,
-    classify_with_kernels,
     comp_factor_oracle,
     decomposition_number,
     divind_injective_closed,
@@ -36,12 +36,6 @@ P13 = GroupParams(1, 3)
 P22 = GroupParams(2, 2)
 P32 = GroupParams(3, 2)
 P20 = GroupParams(2, 0)
-
-# the parameter grid plus composite l, p = 7 and 11 and more characteristic-zero pairs
-WIDE_GRID = checks.PARAM_GRID + (
-    GroupParams(4, 2), GroupParams(6, 3), GroupParams(9, 2), GroupParams(1, 7), GroupParams(5, 7),
-    GroupParams(4, 0), GroupParams(6, 0), GroupParams(2, 2), GroupParams(3, 3), GroupParams(1, 11),
-)
 
 
 def W(*entries):
@@ -360,8 +354,32 @@ def test_classify_examples():
 
 def test_classify_above_oracle_limit_uses_closed_forms():
     lam = W(60, 30)
-    cls = classify(lam, P12, oracle_degree_limit=gl2.ORACLE_DEGREE_LIMIT)
+    cls = classify(lam, P12)
     assert cls.divind == divind_injective_closed(lam, P12)
+
+
+def test_classify_check_runs_the_oracles_above_the_limit(monkeypatch):
+    lam = W(60, 30)
+    assert lam.degree() > gl2.ORACLE_DEGREE_LIMIT
+    monkeypatch.setattr(gl2, "divind_injective_oracle", lambda lam, params: -1)
+    with pytest.raises(gl2.OracleMismatch):
+        classify(lam, P12, check=True)
+    cls = classify(lam, P12)
+    assert cls.oracle_checked is False
+    assert cls.divind == divind_injective_closed(lam, P12)
+
+
+def test_gm_flags_match_kernel_tests():
+    for params in WIDE_GRID:
+        for r in range(25):
+            for lam in partitions2(r):
+                cls = classify(lam, params)
+                assert cls.oracle_checked
+                if params.p == 0:
+                    assert cls.gm_flags(3) == (cls.inf_injective, None, None)
+                else:
+                    assert cls.gm_flags(3) == tuple(is_gm_injective(lam, m, params) for m in (1, 2, 3))
+                    assert cls.kernel_depth == sum(is_gm_injective(lam, m, params) for m in range(1, 8))
 
 
 def test_classify_consistency_bounds():
@@ -447,10 +465,8 @@ def test_closed_forms_hold_at_random_degrees(case):
     if cls.inf_injective:
         assert cls.standard_form == standard_form(lam, params)
     # a table row's kernel flags come off that list too
-    row, gm_flags = classify_with_kernels(lam, params, 3)
-    assert row == cls
-    assert gm_flags == tuple(is_gm_injective(lam, m, params) if params.p or m == 1 else None
-                             for m in (1, 2, 3))
+    assert cls.gm_flags(3) == tuple(is_gm_injective(lam, m, params) if params.p or m == 1 else None
+                                    for m in (1, 2, 3))
 
 
 def test_verdict_expands_digits_once(monkeypatch):
@@ -467,5 +483,5 @@ def test_verdict_expands_digits_once(monkeypatch):
     classify(lam, P32)
     assert calls == [lam]
     del calls[:]
-    rows = cli.table_rows(6, P12, gm_max=3)
+    rows = cli.table_rows(6, P12)
     assert len(rows) == len(calls) == 16
