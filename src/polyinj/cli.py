@@ -196,22 +196,15 @@ def cmd_divind(args):
     if lam.n != 2:
         raise UsageError("divisibility indices are computed for rank 2 only")
     params = parse_params(args)
-    closed = gl2.divind_injective_closed(lam, params)
-    oracle = None
-    if args.check:
-        oracle = gl2.divind_injective_oracle(lam, params)
-        if oracle != closed:
-            raise gl2.OracleMismatch(
-                "divind of %r at %s: closed %d vs oracle %d" % (lam, params, closed, oracle)
-            )
+    divind = gl2.classify(lam, params, check=args.check).divind
     if args.format == "json":
-        obj = {"weight": list(lam), "l": params.l, "p": params.p, "divind": closed}
-        if oracle is not None:
-            obj["oracle"] = oracle
+        obj = {"weight": list(lam), "l": params.l, "p": params.p, "divind": divind}
+        if args.check:
+            obj["oracle"] = divind
         return _json(obj)
-    lines = ["divind: %d" % closed]
-    if oracle is not None:
-        lines.append("oracle: %d (agrees)" % oracle)
+    lines = ["divind: %d" % divind]
+    if args.check:
+        lines.append("oracle: %d (agrees)" % divind)
     return _lines(lines)
 
 

@@ -17,8 +17,12 @@ v with v[k] the coefficient of x^(r-k) y^k.  A Schur character (so a
 digit character) is a run of ones, det^d is a shift by d, and every
 product is ``_twisted_product``: a vector times the Frobenius twist of
 another.  Simple characters, symmetric powers and standard forms are such
-products; an injective character is its column of the decomposition
-table (one triangular sweep per degree) summed as runs of ones.  Only
+products.  The decomposition table of a degree is a tuple of integer
+rows indexed by last entries, one triangular sweep whose reduced rows are
+the decomposition numbers, and every oracle reads one column of it: an
+injective character is its column summed as runs of ones, the
+divisibility-index oracle is the column's first nonzero entry, and
+criticality is its entry in the row of the symmetric power.  Only
 ``_vector_character`` builds a :class:`Character`, apart from the
 ``sym_power_factor_oracle`` adapter; tableaux, dict peeling and the
 suites' dict arithmetic are the oracles for this path.
@@ -49,7 +53,7 @@ from typing import Optional
 from .characters import Character, PeelError, peel_into_basis
 from .injectivity import injectivity_criterion
 from .schur import h_character, partitions
-from .weights import GroupParams, Weight, digit_expansion, eadic_split, omega
+from .weights import GroupParams, Weight, _int_weight, digit_expansion, eadic_split, omega
 
 
 class OracleMismatch(Exception):
@@ -161,28 +165,27 @@ def _sympow_recursive(r, params):
 
 @lru_cache(maxsize=None)
 def _decomposition_at_degree(r, params):
-    """For each partition tau of r: the simple multiplicities of the induced
-    module of highest weight tau.
+    """The decomposition table of degree r as integer rows indexed by last
+    entries: entry [t][j] is [induced(r-t, t) : simple(r-j, j)], t, j <= r//2.
 
-    One triangular sweep over the dominant half k <= r//2.  The row of
-    tau = (r-t, t) starts as its Schur vector there, the indicator of
-    [t, r//2]; walking the pivot j upward, its entry m is the multiplicity
-    of the simple of highest weight (r-j, j), whose vector (zero below j)
-    is subtracted m times.  Like :func:`peel_into_basis`, which stays as
-    this sweep's oracle, it raises :class:`PeelError` on a negative pivot
-    and on a simple whose coefficient at its own pivot is not one.
+    One triangular sweep over the dominant half.  Row t starts as the Schur
+    vector of (r-t, t) there, the indicator of [t, r//2]; walking the pivot
+    j upward, its entry m is the multiplicity of the simple of highest
+    weight (r-j, j), whose vector (zero below j, one at j) is subtracted m
+    times from the entries above j.  Entry j keeps m, so the reduced row is
+    the row of decomposition numbers.  Like :func:`peel_into_basis`, which
+    stays as this sweep's oracle, it raises :class:`PeelError` on a negative
+    pivot and on a simple whose coefficient at its own pivot is not one.
     """
     h = r // 2
-    taus = partitions2(r)  # taus[t] = (r-t, t)
-    table = {}
+    table = []
     for t in range(h + 1):
         row = [0] * t + [1] * (h + 1 - t)
-        factors = {}
         for j in range(t, h + 1):
             m = row[j]
             if not m:
                 continue
-            pivot = taus[j]
+            pivot = _int_weight((r - j, j))
             if m < 0:
                 raise PeelError(
                     "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, m)
@@ -190,11 +193,17 @@ def _decomposition_at_degree(r, params):
             simple = _simple_character(pivot, params)
             if simple[j] != 1:
                 raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
-            step = simple[j:h + 1] if m == 1 else [m * y for y in simple[j:h + 1]]
-            row[j:] = map(sub, row[j:], step)
-            factors[pivot] = m
-        table[taus[t]] = factors
-    return table
+            step = simple[j + 1:h + 1] if m == 1 else [m * y for y in simple[j + 1:h + 1]]
+            row[j + 1:] = map(sub, row[j + 1:], step)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _column(lam, params):
+    """Column ``lam`` of its degree's table: entry t is
+    [induced(r-t, t) : simple(lam)] for t <= lam_2 (zero further down)."""
+    j = lam[1]
+    return [row[j] for row in _decomposition_at_degree(lam.degree(), params)[:j + 1]]
 
 
 def decomposition_number(tau, lam, params):
@@ -203,7 +212,7 @@ def decomposition_number(tau, lam, params):
     tau, lam = _check_weight(tau), _check_weight(lam)
     if tau.degree() != lam.degree():
         return 0
-    return _decomposition_at_degree(tau.degree(), params)[tau].get(lam, 0)
+    return _decomposition_at_degree(tau.degree(), params)[tau[1]][lam[1]]
 
 
 def injective_character(lam, params):
@@ -219,20 +228,12 @@ def _injective_vector(lam, params):
     the decomposition table, summed as runs of ones through a difference array."""
     lam = _check_weight(lam)
     r = lam.degree()
-    table = _decomposition_at_degree(r, params)
     diff = [0] * (r + 2)
-    for tau in partitions2(r):
-        m = table[tau].get(lam, 0)
+    for t, m in enumerate(_column(lam, params)):
         if m:
-            diff[tau[1]] += m
-            diff[tau[0] + 1] -= m
+            diff[t] += m
+            diff[r - t + 1] -= m
     return list(accumulate(diff[:-1]))
-
-
-def _sympow_simple_factors(r, params):
-    """Simple multiplicities of the r-th symmetric power of the natural
-    module: the row (r, 0) of the decomposition table, as h_r = s_(r,0)."""
-    return _decomposition_at_degree(r, params)[Weight((r, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +263,9 @@ def is_critical_closed(lam, params):
 
 def is_critical_oracle(lam, params):
     """Character oracle for criticality: the simple of highest weight ``lam``
-    appears in the symmetric power of its degree."""
-    lam = _check_weight(lam)
-    return lam in _sympow_simple_factors(lam.degree(), params)
+    appears in the symmetric power of its degree, whose row of the
+    decomposition table is (r, 0) as h_r = s_(r,0)."""
+    return _column(_check_weight(lam), params)[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,10 @@ def _divind_closed(lam, params, layers):
 
 def divind_injective_oracle(lam, params):
     """Divisibility index from the good filtration of the injective envelope:
-    the least last entry over partitions tau of the same degree whose induced
-    module contains the simple of highest weight ``lam``."""
-    lam = _check_weight(lam)
-    table = _decomposition_at_degree(lam.degree(), params)
-    return min(tau[1] for tau in partitions2(lam.degree()) if table[tau].get(lam, 0))
+    the least last entry t of a partition (r-t, t) whose induced module
+    contains the simple of highest weight ``lam``: the first nonzero entry
+    of its column."""
+    return next(t for t, m in enumerate(_column(_check_weight(lam), params)) if m)
 
 
 # ---------------------------------------------------------------------------

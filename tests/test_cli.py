@@ -246,6 +246,16 @@ def test_oracle_mismatch_exit_code(monkeypatch):
     assert rc == 2
 
 
+def test_divind_check_runs_every_classify_oracle(monkeypatch):
+    """divind --check is classify's oracle check, so an inverted injectivity
+    inequality fails it; unchecked above the oracle degree limit, no oracle runs."""
+    original = gl2.is_inf_injective_inequality
+    monkeypatch.setattr(gl2, "is_inf_injective_inequality",
+                        lambda lam, params: not original(lam, params))
+    assert run(["divind", "--weight", "5,2", "--l", "2", "--p", "2", "--check"])[0] == 2
+    assert run(["divind", "--weight", "60,30", "--l", "1", "--p", "2"])[0] == 0
+
+
 def test_classify_builds_only_its_own_parser(monkeypatch):
     options, progs = [], []
     add_argument = argparse._ActionsContainer.add_argument
