@@ -20,6 +20,7 @@ from .gl2 import (
     FactorizationDescriptor,
     OracleMismatch,
     classify,
+    decomposition_column,
     decomposition_number,
     divind_injective_closed,
     divind_injective_oracle,
@@ -69,6 +70,7 @@ __all__ = [
     "character_from_json",
     "classify",
     "compositions",
+    "decomposition_column",
     "decomposition_number",
     "delta",
     "digit_expansion",

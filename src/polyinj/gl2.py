@@ -17,10 +17,9 @@ v with v[k] the coefficient of x^(r-k) y^k.  A Schur character (so a
 digit character) is a run of ones, det^d is a shift by d, and every
 product is ``_twisted_product``: a vector times the Frobenius twist of
 another.  Simple characters, symmetric powers and standard forms are such
-products.  The decomposition table of a degree is a tuple of integer
-rows indexed by last entries, one triangular sweep whose reduced rows are
-the decomposition numbers, and every oracle reads one column of it: an
-injective character is its column summed as runs of ones, the
+products.  Decomposition numbers are read a column at a time, by back
+substitution against the simple vectors, and every oracle reads one
+column: an injective character is its column summed as runs of ones, the
 divisibility-index oracle is the column's first nonzero entry, and
 criticality is its entry in the row of the symmetric power.  Only
 ``_vector_character`` builds a :class:`Character`, apart from the
@@ -47,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 from typing import Optional
 
 from .characters import Character, PeelError, peel_into_basis
@@ -163,56 +162,48 @@ def _sympow_recursive(r, params):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _decomposition_at_degree(r, params):
-    """The decomposition table of degree r as integer rows indexed by last
-    entries: entry [t][j] is [induced(r-t, t) : simple(r-j, j)], t, j <= r//2.
-
-    One triangular sweep over the dominant half.  Row t starts as the Schur
-    vector of (r-t, t) there, the indicator of [t, r//2]; walking the pivot
-    j upward, its entry m is the multiplicity of the simple of highest
-    weight (r-j, j), whose vector (zero below j, one at j) is subtracted m
-    times from the entries above j.  Entry j keeps m, so the reduced row is
-    the row of decomposition numbers.  Like :func:`peel_into_basis`, which
-    stays as this sweep's oracle, it raises :class:`PeelError` on a negative
-    pivot and on a simple whose coefficient at its own pivot is not one.
-    """
-    h = r // 2
-    table = []
-    for t in range(h + 1):
-        row = [0] * t + [1] * (h + 1 - t)
-        for j in range(t, h + 1):
-            m = row[j]
-            if not m:
-                continue
-            pivot = _int_weight((r - j, j))
-            if m < 0:
-                raise PeelError(
-                    "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, m)
-                )
-            simple = _simple_character(pivot, params)
-            if simple[j] != 1:
-                raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
-            step = simple[j + 1:h + 1] if m == 1 else [m * y for y in simple[j + 1:h + 1]]
-            row[j + 1:] = map(sub, row[j + 1:], step)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def _column(lam, params):
-    """Column ``lam`` of its degree's table: entry t is
-    [induced(r-t, t) : simple(lam)] for t <= lam_2 (zero further down)."""
-    j = lam[1]
-    return [row[j] for row in _decomposition_at_degree(lam.degree(), params)[:j + 1]]
+    """Column ``lam`` of the decomposition matrix by back substitution:
+    entry t is [induced(r-t, t) : simple(lam)] for t <= lam_2 (zero further
+    down).  In the Weyl basis simple(r-i, i) has coefficient v[t] - v[t-1]
+    at induced(r-t, t), v its vector; these coefficients form a
+    unitriangular matrix whose inverse's column lam_2 this solves for, from
+    y = 1 at lam_2 upward.  Like :func:`peel_into_basis`, which stays its
+    oracle, it raises :class:`PeelError` on a negative entry and on a
+    simple whose coefficient at its own pivot is not one."""
+    r, j = lam.degree(), lam[1]
+    col = [0] * (j + 1)
+    found = []  # (t, y_t) for the nonzero entries solved so far
+    for i in range(j, -1, -1):
+        pivot = _int_weight((r - i, i))
+        v = _simple_character(pivot, params)
+        if v[i] - (v[i - 1] if i else 0) != 1:
+            raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
+        y = 1 if i == j else -sum((v[t] - v[t - 1]) * m for t, m in found)
+        if y < 0:
+            raise PeelError(
+                "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, y)
+            )
+        if y:
+            col[i] = y
+            found.append((i, y))
+    return col
+
+
+def decomposition_column(lam, params):
+    """Column ``lam`` of the decomposition matrix, weight checked once:
+    entry t is [induced(r-t, t) : simple(lam)] for t = 0..lam_2, the only
+    induced modules of its degree that can contain simple(lam)."""
+    return _column(_check_weight(lam), params)
 
 
 def decomposition_number(tau, lam, params):
     """Composition multiplicity of the simple of highest weight ``lam`` in
     the induced module of highest weight ``tau`` (zero when degrees differ)."""
     tau, lam = _check_weight(tau), _check_weight(lam)
-    if tau.degree() != lam.degree():
+    if tau.degree() != lam.degree() or tau[1] > lam[1]:
         return 0
-    return _decomposition_at_degree(tau.degree(), params)[tau[1]][lam[1]]
+    return _column(lam, params)[tau[1]]
 
 
 def injective_character(lam, params):
@@ -225,7 +216,7 @@ def injective_character(lam, params):
 
 def _injective_vector(lam, params):
     """Coefficient vector of the injective envelope of ``lam``: its column of
-    the decomposition table, summed as runs of ones through a difference array."""
+    decomposition numbers, summed as runs of ones through a difference array."""
     lam = _check_weight(lam)
     r = lam.degree()
     diff = [0] * (r + 2)
@@ -263,9 +254,9 @@ def is_critical_closed(lam, params):
 
 def is_critical_oracle(lam, params):
     """Character oracle for criticality: the simple of highest weight ``lam``
-    appears in the symmetric power of its degree, whose row of the
-    decomposition table is (r, 0) as h_r = s_(r,0)."""
-    return _column(_check_weight(lam), params)[0] != 0
+    appears in the symmetric power of its degree: entry 0 of its column,
+    the row of induced(r, 0), as h_r = s_(r,0)."""
+    return decomposition_column(lam, params)[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +320,8 @@ def divind_injective_oracle(lam, params):
     """Divisibility index from the good filtration of the injective envelope:
     the least last entry t of a partition (r-t, t) whose induced module
     contains the simple of highest weight ``lam``: the first nonzero entry
-    of its column."""
-    return next(t for t, m in enumerate(_column(_check_weight(lam), params)) if m)
+    of its :func:`decomposition_column`."""
+    return next(t for t, m in enumerate(decomposition_column(lam, params)) if m)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +490,9 @@ ORACLE_DEGREE_LIMIT = 40
 def classify(lam, params, check=False):
     """Classify one weight from one digit list, cross-checking the closed
     forms against the character oracles when ``check`` is set or the degree
-    is at most ``ORACLE_DEGREE_LIMIT`` (the oracles cost a full degree-r
-    character decomposition; the closed forms are digit arithmetic).  Any
-    disagreement raises :class:`OracleMismatch`."""
+    is at most ``ORACLE_DEGREE_LIMIT`` (the oracles cost columns of
+    decomposition numbers, quadratic in the degree; the closed forms are
+    digit arithmetic).  Any disagreement raises :class:`OracleMismatch`."""
     lam = _check_weight(lam)
     layers = _layers(lam, params)
     div = _divind_closed(lam, params, layers)

@@ -98,8 +98,9 @@ def test_decomposition_numbers():
 
 
 def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
-    """The vector sweep refuses a negative pivot and a simple whose leading
-    coefficient is not one, as peel_into_basis does."""
+    """Back substitution refuses a negative entry and a simple whose leading
+    coefficient is not one, as peel_into_basis does, on a column read
+    through the corrupted simple and on that simple's own column."""
     original = gl2._simple_character
 
     def corrupt(bad):
@@ -108,36 +109,53 @@ def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
         return simple
 
     for bad in ((1, 1, 2, 1, 1), (2, 0, 0, 0, 2)):
-        gl2._decomposition_at_degree.cache_clear()
         monkeypatch.setattr(gl2, "_simple_character", corrupt(bad))
         with pytest.raises(PeelError):
-            decomposition_number(W(4, 0), W(4, 0), P12)
+            decomposition_number(W(4, 0), W(2, 2), P12)
+    # the diagonal corruption, still in place, is caught on its own column
+    with pytest.raises(PeelError, match="leading multiplicity one"):
+        gl2.decomposition_column(W(4, 0), P12)
     monkeypatch.undo()
     original.cache_clear()
-    gl2._decomposition_at_degree.cache_clear()
     row = {lam: decomposition_number(W(4, 0), lam, P12) for lam in partitions2(4)}
     assert row == {W(4, 0): 1, W(3, 1): 1, W(2, 2): 1}
 
 
 def test_peeling_soundness_wide_grid():
-    """Peeling agrees with the decomposition table over the wide grid, up to
+    """Peeling agrees with the decomposition numbers over the wide grid, up to
     degree 60."""
     result = checks.check_peeling_soundness(60, WIDE_GRID)
     assert result.ok, result.failures
 
 
 def test_decomposition_table_reach():
-    """The whole degree-1000 table is one sweep: it builds in seconds, and
-    its rows agree with dict-based peeling."""
+    """The whole degree-1000 table is 501 columns, each one back
+    substitution: they are read in seconds, and three of its rows agree with
+    dict-based peeling."""
     params = GroupParams(5, 7)
     t0 = time.perf_counter()
-    table = gl2._decomposition_at_degree(1000, params)
+    columns = {lam: gl2.decomposition_column(lam, params) for lam in partitions2(1000)}
     assert time.perf_counter() - t0 < 10
-    assert len(table) == 501
+    assert len(columns) == 501
     basis = lambda w: simple_character(w, params)
     for tau in (W(1000, 0), W(700, 300), W(500, 500)):
-        row = {lam: m for lam in partitions2(1000) if (m := decomposition_number(tau, lam, params))}
+        t = tau[1]
+        row = {lam: col[t] for lam, col in columns.items() if len(col) > t and col[t]}
         assert row == peel_into_basis(schur_character(tau), basis)
+
+
+def test_decomposition_column_reach():
+    """One cold column per pair at degrees 3000-4000 agrees with the closed
+    forms: its first nonzero entry is the divisibility index, and its entry
+    in the symmetric power's row is nonzero exactly for a critical weight
+    (two of the four are)."""
+    for l, p, lam in ((1, 2, W(3000, 1000)), (5, 7, W(1711, 1290)),
+                      (3, 0, W(2100, 1400)), (2, 3, W(2479, 522))):
+        params = GroupParams(l, p)
+        gl2._simple_character.cache_clear()
+        column = gl2.decomposition_column(lam, params)
+        assert next(t for t, m in enumerate(column) if m) == divind_injective_closed(lam, params)
+        assert (column[0] != 0) is is_critical_closed(lam, params)
 
 
 def test_vector_characters_match_dict_formulas_wide_grid():
