@@ -18,13 +18,17 @@ digit character) is a run of ones, det^d is a shift by d, and every
 product is ``_twisted_product``: a vector times the Frobenius twist of
 another.  Simple characters, symmetric powers and standard forms are such
 products.  Decomposition numbers are read a column at a time, by back
-substitution against the simple vectors, and every oracle reads one
-column: an injective character is its column summed as runs of ones, the
-divisibility-index oracle is the column's first nonzero entry, and
-criticality is its entry in the row of the symmetric power.  Only
-``_vector_character`` builds a :class:`Character`, apart from the
-``sym_power_factor_oracle`` adapter; tableaux, dict peeling and the
-suites' dict arithmetic are the oracles for this path.
+substitution against single coefficients of simple characters
+(``_simple_coefficient``, a digit comparison), never whole simple vectors,
+and every oracle reads one column: an injective character is its column
+summed as runs of ones, the divisibility-index oracle is the column's
+first nonzero entry, and criticality is its entry in the row of the
+symmetric power.  The simple vectors serve ``simple_character``, the
+symmetric-power recursion and the peeling bases, so peeling against them
+and the columns are two independent evaluations of the tensor product
+theorem.  Only ``_vector_character`` builds a :class:`Character`, apart
+from the ``sym_power_factor_oracle`` adapter; tableaux, dict peeling and
+the suites' dict arithmetic are the oracles for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -162,27 +166,51 @@ def _sympow_recursive(r, params):
     return tuple(out)
 
 
+def _simple_coefficient(n, k, e, p):
+    """Coefficient (0 or 1) of x^(n-k) y^k in the simple character of
+    (n, 0), by the tensor product theorem: it is 1 exactly when 0 <= k <= n
+    and every mixed-radix digit of k (base e first, then base p) is at most
+    the matching digit of n.  In characteristic zero the layer under the
+    twist is a whole Schur character, so only the base-e digit is compared."""
+    if k < 0 or k > n or k % e > n % e:
+        return 0
+    n //= e
+    k //= e
+    while p and k:
+        if k % p > n % p:
+            return 0
+        n //= p
+        k //= p
+    return 1
+
+
 def _column(lam, params):
     """Column ``lam`` of the decomposition matrix by back substitution:
     entry t is [induced(r-t, t) : simple(lam)] for t <= lam_2 (zero further
-    down).  In the Weyl basis simple(r-i, i) has coefficient v[t] - v[t-1]
-    at induced(r-t, t), v its vector; these coefficients form a
+    down).  In the Weyl basis simple(r-i, i) = det^i * simple(n, 0), with
+    n = r - 2i, has coefficient c(n, t-i) - c(n, t-i-1) at induced(r-t, t),
+    c the pointwise :func:`_simple_coefficient`; these coefficients form a
     unitriangular matrix whose inverse's column lam_2 this solves for, from
-    y = 1 at lam_2 upward.  Like :func:`peel_into_basis`, which stays its
-    oracle, it raises :class:`PeelError` on a negative entry and on a
-    simple whose coefficient at its own pivot is not one."""
+    y = 1 at lam_2 upward, reading only the entries it sums.  Like
+    :func:`peel_into_basis` on the simple vectors, which stays its oracle,
+    it raises :class:`PeelError` on a negative entry and on a simple whose
+    coefficient at its own pivot is not one."""
     r, j = lam.degree(), lam[1]
+    e, p = params.e, params.p
+    c = _simple_coefficient
     col = [0] * (j + 1)
     found = []  # (t, y_t) for the nonzero entries solved so far
     for i in range(j, -1, -1):
-        pivot = _int_weight((r - i, i))
-        v = _simple_character(pivot, params)
-        if v[i] - (v[i - 1] if i else 0) != 1:
-            raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
-        y = 1 if i == j else -sum((v[t] - v[t - 1]) * m for t, m in found)
+        n = r - 2 * i
+        if c(n, 0, e, p) - c(n, -1, e, p) != 1:
+            raise PeelError("basis element at %r lacks leading multiplicity one"
+                            % (_int_weight((r - i, i)),))
+        y = 1 if i == j else -sum([(c(n, t - i, e, p) - c(n, t - i - 1, e, p)) * m
+                                   for t, m in found])
         if y < 0:
             raise PeelError(
-                "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, y)
+                "pivot %r carries multiplicity %d; not expressible in this basis"
+                % (_int_weight((r - i, i)), y)
             )
         if y:
             col[i] = y
@@ -509,12 +537,15 @@ def classify(lam, params, check=False):
         )
     checked = check or lam.degree() <= ORACLE_DEGREE_LIMIT
     if checked:
-        div_o = divind_injective_oracle(lam, params)
+        # one column serves both oracles: its first nonzero entry is the
+        # divisibility index, its entry in the symmetric power's row criticality
+        column = decomposition_column(lam, params)
+        div_o = next(t for t, m in enumerate(column) if m)
         if div != div_o:
             raise OracleMismatch(
                 "divisibility index of %r at %s: closed %d vs oracle %d" % (lam, params, div, div_o)
             )
-        crit_o = is_critical_oracle(lam, params)
+        crit_o = column[0] != 0
         if crit != crit_o:
             raise OracleMismatch(
                 "criticality of %r at %s: closed %r vs oracle %r" % (lam, params, crit, crit_o)

@@ -101,24 +101,37 @@ def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
     """Back substitution refuses a negative entry and a simple whose leading
     coefficient is not one, as peel_into_basis does, on a column read
     through the corrupted simple and on that simple's own column."""
-    original = gl2._simple_character
+    original = gl2._simple_coefficient
 
     def corrupt(bad):
-        def simple(lam, params):
-            return bad if lam == (4, 0) else original(lam, params)
-        return simple
+        def coefficient(n, k, e, p):
+            if n == 4 and (e, p) == (P12.e, P12.p):
+                return bad[k] if 0 <= k <= n else 0
+            return original(n, k, e, p)
+        return coefficient
 
     for bad in ((1, 1, 2, 1, 1), (2, 0, 0, 0, 2)):
-        monkeypatch.setattr(gl2, "_simple_character", corrupt(bad))
+        monkeypatch.setattr(gl2, "_simple_coefficient", corrupt(bad))
         with pytest.raises(PeelError):
             decomposition_number(W(4, 0), W(2, 2), P12)
     # the diagonal corruption, still in place, is caught on its own column
     with pytest.raises(PeelError, match="leading multiplicity one"):
         gl2.decomposition_column(W(4, 0), P12)
     monkeypatch.undo()
-    original.cache_clear()
     row = {lam: decomposition_number(W(4, 0), lam, P12) for lam in partitions2(4)}
     assert row == {W(4, 0): 1, W(3, 1): 1, W(2, 2): 1}
+
+
+def test_simple_coefficient_matches_simple_vectors():
+    """One coefficient of simple(n, 0), read from its digits, is that entry
+    of the simple vector, for n <= 120 on the wide grid; k outside [0, n]
+    reads 0."""
+    for params in WIDE_GRID:
+        e, p = params.e, params.p
+        for n in range(121):
+            v = gl2._simple_character(W(n, 0), params)
+            got = [gl2._simple_coefficient(n, k, e, p) for k in range(-1, n + 2)]
+            assert got == [0, *v, 0], (n, params)
 
 
 def test_peeling_soundness_wide_grid():
@@ -152,10 +165,23 @@ def test_decomposition_column_reach():
     for l, p, lam in ((1, 2, W(3000, 1000)), (5, 7, W(1711, 1290)),
                       (3, 0, W(2100, 1400)), (2, 3, W(2479, 522))):
         params = GroupParams(l, p)
-        gl2._simple_character.cache_clear()
         column = gl2.decomposition_column(lam, params)
         assert next(t for t, m in enumerate(column) if m) == divind_injective_closed(lam, params)
         assert (column[0] != 0) is is_critical_closed(lam, params)
+
+
+def test_decomposition_column_reach_degree_16000():
+    """Cold columns of degree 16000 read digit coefficients only: they agree
+    with the closed forms and fill no memo of simple vectors."""
+    gl2._simple_character.cache_clear()
+    t0 = time.perf_counter()
+    for l, p, lam in ((1, 2, W(12000, 4000)), (5, 7, W(9000, 7000)), (2, 3, W(12500, 3500))):
+        params = GroupParams(l, p)
+        column = gl2.decomposition_column(lam, params)
+        assert next(t for t, m in enumerate(column) if m) == divind_injective_closed(lam, params)
+        assert (column[0] != 0) is is_critical_closed(lam, params)
+    assert time.perf_counter() - t0 < 10
+    assert gl2._simple_character.cache_info().currsize == 0
 
 
 def test_vector_characters_match_dict_formulas_wide_grid():
@@ -381,12 +407,33 @@ def test_classify_above_oracle_limit_uses_closed_forms():
 def test_classify_check_runs_the_oracles_above_the_limit(monkeypatch):
     lam = W(60, 30)
     assert lam.degree() > gl2.ORACLE_DEGREE_LIMIT
-    monkeypatch.setattr(gl2, "divind_injective_oracle", lambda lam, params: -1)
+    original = gl2.decomposition_column
+    # every column shifted one row down: its first nonzero entry is off by one
+    monkeypatch.setattr(gl2, "decomposition_column", lambda lam, params: [0] + original(lam, params))
     with pytest.raises(gl2.OracleMismatch):
         classify(lam, P12, check=True)
     cls = classify(lam, P12)
     assert cls.oracle_checked is False
     assert cls.divind == divind_injective_closed(lam, P12)
+
+
+def test_classify_check_reads_each_column_once(monkeypatch):
+    """classify(check=True) reads the weight's column once for both the
+    divisibility index and criticality; in positive characteristic the
+    injectivity inequality reads the quotient weight's column too."""
+    calls = []
+    original = gl2._column
+
+    def counted(lam, params):
+        calls.append(lam)
+        return original(lam, params)
+
+    monkeypatch.setattr(gl2, "_column", counted)
+    classify(W(60, 30), P12, check=True)
+    assert len(calls) == 2
+    calls.clear()
+    classify(W(60, 30), GroupParams(3, 0), check=True)
+    assert len(calls) == 1
 
 
 def test_gm_flags_match_kernel_tests():
