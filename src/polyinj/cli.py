@@ -8,9 +8,13 @@ parameters are ``--p 0`` with ``--l`` at least 2).  Output formats: text
 (default), json, csv (tables only).  Each subcommand returns its whole
 stdout as a string and :func:`main` writes it.  Exit codes: 0 success,
 1 usage error, 2 invariant or oracle disagreement.  Every subcommand is
-declared once in ``COMMANDS``; each :func:`main` call builds argparse
-options only for the subcommand its first argument names (for all of
-them on help, no arguments or an unknown name), with the same output.
+declared once in ``COMMANDS``.  :func:`parse_args` parses a line with the
+parser of the subcommand its first argument names alone, and a line
+that parser does not take whole with the parser of every subcommand;
+either way the help and usage errors are the same bytes.  Work that grows with an
+argument is counted first against a budget (``TERM_LIMIT``,
+``TABLE_ROW_LIMIT``, ``COLUMN_ROW_LIMIT``); a count over its limit is a
+usage error.
 """
 
 from __future__ import annotations
@@ -32,9 +36,16 @@ class UsageError(ValueError):
     pass
 
 
-# rank >= 3 Schur characters enumerate their tableaux one by one (892,500
-# for 13,7,3,1,0 take about 2 s); a larger shape is a usage error
-SCHUR_TABLEAU_LIMIT = 10 ** 6
+# Work budgets, each counted before the work it bounds; a count above its
+# limit is a usage error.  TERM_LIMIT bounds the terms of a printed
+# character: a Schur character enumerates its tableaux one by one (892,500
+# for 13,7,3,1,0 take about 2 s) and any other rank-2 character is a vector
+# of degree + 1 coefficients.  TABLE_ROW_LIMIT bounds the rows of a table
+# and COLUMN_ROW_LIMIT the lam_2 + 1 rows of the decomposition column that
+# --check and char injective solve.
+TERM_LIMIT = 10 ** 6
+TABLE_ROW_LIMIT = 50_000
+COLUMN_ROW_LIMIT = 2 ** 13
 
 
 class ChecksFailed(Exception):
@@ -47,6 +58,16 @@ def parse_weight(text):
     except ValueError:
         raise UsageError("bad weight %r; expected comma-separated integers" % text)
     return Weight(entries)
+
+
+def _check_budget(count, limit, subject, unit):
+    if count > limit:
+        raise UsageError("%s has %d %s, above the limit of %d" % (subject, count, unit, limit))
+
+
+def _check_column_rows(lam):
+    if lam.is_dominant():  # any other weight is refused by gl2 itself
+        _check_budget(lam[1] + 1, COLUMN_ROW_LIMIT, "column %s" % _weight_str(lam), "rows")
 
 
 def parse_params(args):
@@ -169,22 +190,23 @@ def cmd_char(args):
     lam = parse_weight(args.weight)
     kind = args.kind
     if kind == "schur":
-        if lam.n >= 3 and (count := tableau_count(lam)) > SCHUR_TABLEAU_LIMIT:
-            raise UsageError(
-                "schur %s has %d tableaux, above the limit of %d"
-                % (_weight_str(lam), count, SCHUR_TABLEAU_LIMIT)
-            )
+        _check_budget(tableau_count(lam), TERM_LIMIT, "schur %s" % _weight_str(lam), "tableaux")
         chi = schur_character(lam)
     elif kind == "sympow":
         # the degree is the entry sum of --weight; the character lives in rank 2
         params = parse_params(args)
         if not lam.is_polynomial():
             raise UsageError("sympow needs a weight with nonnegative entries")
+        _check_budget(lam.degree() + 1, TERM_LIMIT, "sympow of degree %d" % lam.degree(), "terms")
         chi = gl2.sympow_character_recursive(lam.degree(), params)
     else:
         params = parse_params(args)
         if lam.n != 2:
             raise UsageError("%s characters are implemented for rank 2 only" % kind)
+        _check_budget(lam.degree() + 1, TERM_LIMIT, "%s %s" % (kind, _weight_str(lam)),
+                     "coefficients")
+        if kind == "injective":
+            _check_column_rows(lam)
         chi = (gl2.simple_character if kind == "simple" else gl2.injective_character)(lam, params)
     if args.format == "json":
         return _json({"kind": kind, "weight": list(lam), "character": chi.to_json_obj()})
@@ -196,6 +218,8 @@ def cmd_divind(args):
     if lam.n != 2:
         raise UsageError("divisibility indices are computed for rank 2 only")
     params = parse_params(args)
+    if args.check:
+        _check_column_rows(lam)
     divind = gl2.classify(lam, params, check=args.check).divind
     if args.format == "json":
         obj = {"weight": list(lam), "l": params.l, "p": params.p, "divind": divind}
@@ -212,6 +236,8 @@ def cmd_classify(args):
     lam = parse_weight(args.weight)
     params = parse_params(args)
     if lam.n == 2:
+        if args.check:
+            _check_column_rows(lam)
         cls = gl2.classify(lam, params, check=args.check)
         if args.format == "json":
             return _json(dict(classification_record(cls), oracle_checked=cls.oracle_checked))
@@ -252,6 +278,9 @@ def cmd_table(args):
         raise UsageError("--deg-max must be nonnegative")
     if args.gm_max < 0:
         raise UsageError("--gm-max must be nonnegative")
+    # sum over r <= deg_max of (r // 2 + 1), the rank-2 partitions of each degree
+    rows = (args.deg_max // 2 + 1) * ((args.deg_max + 1) // 2 + 1)
+    _check_budget(rows, TABLE_ROW_LIMIT, "table to degree %d" % args.deg_max, "rows")
     return render_table(table_rows(args.deg_max, params), args.format, gm_max=args.gm_max)
 
 
@@ -330,36 +359,47 @@ COMMANDS = {cmd.name: cmd for cmd in [
 ]}
 
 
-def build_parser(command=None):
-    """The argument parser, with options for ``command`` alone when it names
-    a subcommand and for every subcommand otherwise.  On a command line
-    that starts with ``command`` both builds print the same bytes."""
+def _add_command(parser, cmd):
+    """Give ``parser`` the options of ``cmd`` and the defaults that name it."""
+    for flags, kwargs in cmd.args:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(command=cmd.name, func=cmd.func)
+    return parser
+
+
+def build_parser():
+    """The argument parser of every subcommand.  It parses any command line
+    and prints every help text and usage error."""
     parser = _Parser(prog="polyinj",
                      description="characters, divisibility indices and injectivity "
                                  "classification for polynomial modules of (quantized) GL_n")
-    if command is None:
-        chosen, metavar = COMMANDS.values(), None
-    else:
-        # errors such as "unrecognized arguments" come from the top-level
-        # parser, whose usage line must still list every subcommand; a
-        # metavar in the full build would rename "argument command" instead
-        chosen, metavar = [COMMANDS[command]], "{%s}" % ",".join(COMMANDS)
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                                 metavar=metavar)
-    for cmd in chosen:
-        sub = subs.add_parser(cmd.name, help=cmd.help)
-        for flags, kwargs in cmd.args:
-            sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(func=cmd.func)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for cmd in COMMANDS.values():
+        _add_command(subs.add_parser(cmd.name, help=cmd.help), cmd)
     return parser
+
+
+def parse_args(argv):
+    """The namespace of ``argv``.  A line whose first argument names a
+    subcommand is parsed by that subcommand's parser alone, built as
+    :func:`build_parser` builds the one it hands the rest of the line to,
+    so its help and errors are the same bytes.  Every other line (no
+    arguments, ``-h``, an unknown name) and one that leaves an argument
+    over goes to :func:`build_parser`, which prints the usage and error
+    of the whole command."""
+    if argv and argv[0] in COMMANDS:
+        parser = _add_command(_Parser(prog="polyinj " + argv[0]), COMMANDS[argv[0]])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -4,7 +4,7 @@ import json
 import time
 
 from polyinj import checks, gl2, weights
-from polyinj.cli import main
+from polyinj.cli import COMMANDS, main
 from polyinj.weights import GroupParams, Weight
 
 
@@ -98,6 +98,14 @@ def test_usage_errors_exit_one():
     assert run(["classify", "--weight", "2,1", "--l", "1", "--p", str(10 ** 25)])[0] == 1
     t0 = time.perf_counter()
     assert run(["char", "schur", "--weight", "12,8,4,2,1,0"])[0] == 1  # 38,675,000 tableaux
+    assert run(["char", "schur", "--weight", "2000000,0"])[0] == 1  # 2,000,001 tableaux
+    assert run(["char", "sympow", "--weight", "1000000", "--l", "1", "--p", "2"])[0] == 1
+    assert run(["char", "simple", "--weight", "2000000,0", "--l", "3", "--p", "0"])[0] == 1
+    assert run(["table", "--deg-max", "800", "--l", "1", "--p", "2"])[0] == 1  # 160,801 rows
+    # columns of 16,001 rows
+    assert run(["char", "injective", "--weight", "48000,16000", "--l", "1", "--p", "2"])[0] == 1
+    assert run(["classify", "--weight", "48000,16000", "--l", "1", "--p", "2", "--check"])[0] == 1
+    assert run(["divind", "--weight", "48000,16000", "--l", "1", "--p", "2", "--check"])[0] == 1
     assert time.perf_counter() - t0 < 3
 
 
@@ -273,6 +281,11 @@ def test_classify_builds_only_its_own_parser(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     rc, _ = run(["classify", "--weight", "2,1", "--l", "1", "--p", "2"])
     assert rc == 0
-    assert progs == ["polyinj", "polyinj classify"]
-    assert options == ["-h", "-h", "--weight", "--l", "--p", "--check", "--format"]
+    assert progs == ["polyinj classify"]
+    assert options == ["-h", "--weight", "--l", "--p", "--check", "--format"]
+    # an argument left over falls back to the parser of every subcommand
+    progs.clear()
+    rc, _ = run(["classify", "--weight", "2,1", "--l", "1", "--p", "2", "extra"])
+    assert rc == 1
+    assert progs == ["polyinj classify", "polyinj"] + ["polyinj " + name for name in COMMANDS]
 

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from polyinj.cli import main
+from polyinj.cli import COMMANDS, build_parser, main, parse_args
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 with open(DATA) as fh:
@@ -43,6 +43,44 @@ def recorded(case, got):
 def test_golden_output(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert recorded(case, run(case["argv"])) == expected(case)
+
+
+# lines not recorded above: "--" before or after the name, "=" and prefix
+# options, a negative number as a value, an argument left over before the
+# kind, help after options and a repeated option
+VARIANTS = [
+    ["--", "classify", "--weight", "5,2", "--l", "1", "--p", "2"],
+    ["classify", "--", "--weight", "5,2", "--l", "1", "--p", "2"],
+    ["classify", "--weight=5,2", "--l", "1", "--p", "2"],
+    ["classify", "--wei", "5,2", "--p", "0", "--l", "3"],
+    ["classify", "--weight", "5,2", "--l", "-1", "--p", "2"],
+    ["char", "--weight", "5,2", "schur", "x"],
+    ["classify", "--weight", "5,2", "--l", "1", "--p", "2", "-h"],
+    ["classify", "--weight", "5,2", "--l", "1", "--p", "2", "--format", "json", "--format", "text"],
+]
+
+
+def parsed(parse, argv):
+    """``vars`` of the namespace, or the exit code and output of a parse
+    that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in CASES
+                                  if case["argv"] and case["argv"][0] in COMMANDS] + VARIANTS,
+                         ids=" ".join)
+def test_subcommand_parser_matches_full_parser(argv, monkeypatch):
+    """A line parsed by its subcommand's parser alone gives the namespace,
+    or the exit code, help and error bytes, of the parser of every
+    subcommand, at any terminal width."""
+    for columns in ("60", "80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert parsed(parse_args, argv) == parsed(lambda a: build_parser().parse_args(a), argv)
 
 
 if __name__ == "__main__":
