@@ -11,8 +11,8 @@ stdout as a string and :func:`main` writes it.  Exit codes: 0 success,
 declared once in ``COMMANDS``.  :func:`parse_args` parses a line with the
 parser of the subcommand its first argument names alone, and a line
 that parser does not take whole with the parser of every subcommand;
-either way the help and usage errors are the same bytes.  Work that grows with an
-argument is counted first against a budget (``TERM_LIMIT``,
+either way help and usage errors are the same bytes.  Work that grows
+with an argument is counted first against a budget (``TERM_LIMIT``,
 ``TABLE_ROW_LIMIT``, ``COLUMN_ROW_LIMIT``); a count over its limit is a
 usage error.
 """

@@ -46,7 +46,7 @@ def test_golden_output(case, monkeypatch):
 
 
 # lines not recorded above: "--" before or after the name, "=" and prefix
-# options, a negative number as a value, an argument left over before the
+# options, a negative number as a value, an argument left over after the
 # kind, help after options and a repeated option
 VARIANTS = [
     ["--", "classify", "--weight", "5,2", "--l", "1", "--p", "2"],
