@@ -5,6 +5,15 @@ structural identity) over a full grid of weights and parameter sets, and
 reports the instance count plus the first few counterexamples.  Each
 suite is declared once, in :data:`SUITES`, which drives both the
 ``selfcheck`` CLI command and the acceptance tests.
+
+:func:`run_suite` is the one runner.  It builds the :class:`SuiteResult`
+under the registry name and hands it to ``check_<name>(res, deg_max[,
+grid])``, which counts instances and records failures on it and returns
+it.  The rank-2 suites iterate over :func:`_sweep`, which yields every
+``(lam, params)`` pair and records it on the result as the instance under
+test.  A suite that raises keeps its partial count, and the runner adds
+one failure naming the instance and the exception, e.g. ``suite crashed
+after 19 instances at Weight(5, 2) l=1,p=2: StopIteration()``.
 """
 
 from __future__ import annotations
@@ -57,7 +66,8 @@ KERNEL_GRID = (
 # The registry: every suite once, as (name, default degree bound, grid),
 # in selfcheck order.  The grid is None for suites that take none,
 # "params" for the run's (l, p) grid and "kernel" for its positive-p part.
-# ``check_<name>`` is looked up when the suite runs, never stored here.
+# ``check_<name>`` is looked up in the module globals when the suite runs,
+# never stored here, and called as check_<name>(res, deg_max[, grid]).
 SUITES = (
     ("eadic-roundtrip", 30, None),
     ("dominance-order", 12, None),
@@ -98,6 +108,7 @@ class SuiteResult:
     instances: int = 0
     failures: list = field(default_factory=list)
     failure_count: int = 0
+    at: tuple = None  # the rank-2 (lam, params) under test, set by _sweep
 
     @property
     def ok(self):
@@ -131,10 +142,9 @@ def _weights2(deg_max):
 # weight combinatorics
 
 
-def check_eadic_roundtrip(deg_max):
+def check_eadic_roundtrip(res, deg_max):
     """The digit split is the unique column-regular decomposition (checked
     against exhaustive candidate enumeration) and reconstructs the weight."""
-    res = SuiteResult("eadic-roundtrip")
     for n in range(1, N_MAX + 1):
         for e in EADIC_BASES:
             # all column-regular candidates, parametrized by differences
@@ -159,9 +169,8 @@ def check_eadic_roundtrip(deg_max):
     return res
 
 
-def check_dominance_order(deg_max):
+def check_dominance_order(res, deg_max):
     """Dominance is a partial order on each degree slice, refined by lex."""
-    res = SuiteResult("dominance-order")
     for n in range(1, N_MAX + 1):
         for r in range(deg_max + 1):
             slice_ = partitions(r, n)
@@ -186,10 +195,9 @@ def check_dominance_order(deg_max):
     return res
 
 
-def check_digit_expansion(deg_max, grid):
+def check_digit_expansion(res, deg_max, grid):
     """Every digit is column-regular for its base and the expansion
     reconstructs the weight."""
-    res = SuiteResult("digit-expansion")
     for params in grid:
         for n in range(1, N_MAX + 1):
             for r in range(deg_max + 1):
@@ -212,12 +220,11 @@ def check_digit_expansion(deg_max, grid):
 # character ring
 
 
-def check_character_ring(deg_max):
+def check_character_ring(res, deg_max):
     """Ring sanity on sampled Schur characters: divisibility additivity on
     products, commutativity and twist multiplicativity on smaller ones, and
     the agreement of the weight-level and factor-level divisibility
     readings through simple-basis peeling."""
-    res = SuiteResult("character-ring")
     rng = random.Random(RING_SEED)
     for n in range(2, N_MAX + 1):
         pool = [lam for r in range(deg_max + 1) for lam in partitions(r, n)]
@@ -253,10 +260,9 @@ def check_character_ring(deg_max):
 # Schur machinery
 
 
-def check_schur_agreement(deg_max):
+def check_schur_agreement(res, deg_max):
     """The Schur character (the closed form at rank 2) agrees with both the
     tableau and the Jacobi-Trudi routes at every rank."""
-    res = SuiteResult("schur-agreement")
     for n in range(1, N_MAX + 1):
         for r in range(deg_max + 1):
             for lam in partitions(r, n):
@@ -269,10 +275,9 @@ def check_schur_agreement(deg_max):
     return res
 
 
-def check_pieri_products(deg_max):
+def check_pieri_products(res, deg_max):
     """s_lam * h_r equals the multiplicity-free sum over the horizontal-strip
     expansion."""
-    res = SuiteResult("pieri-products")
     for n in range(1, N_MAX + 1):
         for d in range(deg_max + 1):
             for lam in partitions(d, n):
@@ -289,11 +294,10 @@ def check_pieri_products(deg_max):
     return res
 
 
-def check_sym_tensor_support(deg_max):
+def check_sym_tensor_support(res, deg_max):
     """The m-fold symmetric-power tensor products of degree r contain the
     induced module of highest weight lam iff lam has at most m nonzero
     parts."""
-    res = SuiteResult("sym-tensor-support")
     for n in range(1, N_MAX + 1):
         for m in range(1, n + 1):
             for r in range(deg_max + 1):
@@ -311,61 +315,64 @@ def check_sym_tensor_support(deg_max):
 # rank-2 closed forms vs oracles
 
 
-def check_divind_equivalence(deg_max, grid):
+def _sweep(res, deg_max, grid):
+    """Every rank-2 weight of degree <= deg_max at every (l, p) of ``grid``,
+    as ``(lam, params)``, each recorded on ``res`` as the instance under
+    test so that a crash can name it."""
+    for params in grid:
+        for lam in _weights2(deg_max):
+            res.at = (lam, params)
+            yield lam, params
+
+
+def check_divind_equivalence(res, deg_max, grid):
     """Closed-form divisibility index equals the good-filtration oracle."""
-    res = SuiteResult("divind-equivalence")
-    for params in grid:
-        for lam in _weights2(deg_max):
-            res.count()
-            try:
-                closed = gl2.divind_injective_closed(lam, params)
-            except gl2.OracleMismatch as exc:
-                res.fail(str(exc))
-                continue
-            oracle = gl2.divind_injective_oracle(lam, params)
-            if closed != oracle:
-                res.fail("lam=%r %s: closed=%d oracle=%d" % (lam, params, closed, oracle))
+    for lam, params in _sweep(res, deg_max, grid):
+        res.count()
+        try:
+            closed = gl2.divind_injective_closed(lam, params)
+        except gl2.OracleMismatch as exc:
+            res.fail(str(exc))
+            continue
+        oracle = gl2.divind_injective_oracle(lam, params)
+        if closed != oracle:
+            res.fail("lam=%r %s: closed=%d oracle=%d" % (lam, params, closed, oracle))
     return res
 
 
-def check_criticality_equivalence(deg_max, grid):
+def check_criticality_equivalence(res, deg_max, grid):
     """Digit criticality test = symmetric-power oracle = (divind == 0)."""
-    res = SuiteResult("criticality-equivalence")
-    for params in grid:
-        for lam in _weights2(deg_max):
-            res.count()
-            closed = gl2.is_critical_closed(lam, params)
-            oracle = gl2.is_critical_oracle(lam, params)
-            try:
-                by_div = gl2.divind_injective_closed(lam, params) == 0
-            except gl2.OracleMismatch as exc:
-                res.fail(str(exc))
-                continue
-            if not (closed == oracle == by_div):
-                res.fail(
-                    "lam=%r %s: closed=%r oracle=%r divind-zero=%r"
-                    % (lam, params, closed, oracle, by_div)
-                )
+    for lam, params in _sweep(res, deg_max, grid):
+        res.count()
+        closed = gl2.is_critical_closed(lam, params)
+        oracle = gl2.is_critical_oracle(lam, params)
+        try:
+            by_div = gl2.divind_injective_closed(lam, params) == 0
+        except gl2.OracleMismatch as exc:
+            res.fail(str(exc))
+            continue
+        if not (closed == oracle == by_div):
+            res.fail(
+                "lam=%r %s: closed=%r oracle=%r divind-zero=%r"
+                % (lam, params, closed, oracle, by_div)
+            )
     return res
 
 
-def check_injectivity_equivalence(deg_max, grid):
+def check_injectivity_equivalence(res, deg_max, grid):
     """Digit injectivity test = index-inequality test with oracle input."""
-    res = SuiteResult("injectivity-equivalence")
-    for params in grid:
-        for lam in _weights2(deg_max):
-            res.count()
-            closed = gl2.is_inf_injective_closed(lam, params)
-            via_index = gl2.is_inf_injective_inequality(lam, params)
-            if closed != via_index:
-                res.fail("lam=%r %s: closed=%r inequality=%r" % (lam, params, closed, via_index))
+    for lam, params in _sweep(res, deg_max, grid):
+        res.count()
+        closed = gl2.is_inf_injective_closed(lam, params)
+        via_index = gl2.is_inf_injective_inequality(lam, params)
+        if closed != via_index:
+            res.fail("lam=%r %s: closed=%r inequality=%r" % (lam, params, closed, via_index))
     return res
 
 
-def check_sympow_recursion(deg_max, grid):
+def check_sympow_recursion(res, deg_max, grid):
     """Layer recursion for symmetric-power characters equals the plain
     complete homogeneous character."""
-    res = SuiteResult("sympow-recursion")
     for params in grid:
         for r in range(deg_max + 1):
             res.count()
@@ -374,171 +381,156 @@ def check_sympow_recursion(deg_max, grid):
     return res
 
 
-def check_peeling_soundness(deg_max, grid):
+def check_peeling_soundness(res, deg_max, grid):
     """Decomposing Schur characters into simple characters never goes
     negative, reconstructs, is unitriangular, respects dominance, and
     peeling agrees with the gl2 decomposition numbers, read one column of
     each weight once per (l, p)."""
-    res = SuiteResult("peeling-soundness")
-    for params in grid:
-        column = functools.cache(lambda lam: gl2.decomposition_column(lam, params))
-        for tau in _weights2(deg_max):
-            res.count()
-            basis = lambda w: gl2.simple_character(w, params)
-            try:
-                factors = peel_into_basis(schur_character(tau), basis)
-            except PeelError as exc:
-                res.fail("tau=%r %s: %s" % (tau, params, exc))
-                continue
-            if factors.get(tau, 0) != 1:
-                res.fail("tau=%r %s: leading multiplicity %r" % (tau, params, factors.get(tau)))
-            total = Character.zero(2)
-            for lam, m in factors.items():
-                total = total + m * gl2.simple_character(lam, params)
-                if not dominance_leq(lam, tau):
-                    res.fail("tau=%r %s: factor %r not below in dominance" % (tau, params, lam))
-            if total != schur_character(tau):
-                res.fail("tau=%r %s: factors do not reconstruct" % (tau, params))
-            row = {lam: m for lam in partitions(tau.degree(), 2)
-                   if lam[1] >= tau[1] and (m := column(lam)[tau[1]])}
-            if factors != row:
-                res.fail("tau=%r %s: peeling and the decomposition table disagree" % (tau, params))
+    # a row of degree r reads only the r // 2 + 1 columns of degree r, and
+    # the sweep runs degree by degree, so one degree's columns are held
+    column = functools.lru_cache(deg_max // 2 + 1)(gl2.decomposition_column)
+    for tau, params in _sweep(res, deg_max, grid):
+        res.count()
+        basis = lambda w: gl2.simple_character(w, params)
+        try:
+            factors = peel_into_basis(schur_character(tau), basis)
+        except PeelError as exc:
+            res.fail("tau=%r %s: %s" % (tau, params, exc))
+            continue
+        if factors.get(tau, 0) != 1:
+            res.fail("tau=%r %s: leading multiplicity %r" % (tau, params, factors.get(tau)))
+        total = Character.zero(2)
+        for lam, m in factors.items():
+            total = total + m * gl2.simple_character(lam, params)
+            if not dominance_leq(lam, tau):
+                res.fail("tau=%r %s: factor %r not below in dominance" % (tau, params, lam))
+        if total != schur_character(tau):
+            res.fail("tau=%r %s: factors do not reconstruct" % (tau, params))
+        row = {lam: m for lam in partitions(tau.degree(), 2)
+               if lam[1] >= tau[1] and (m := column(lam, params)[tau[1]])}
+        if factors != row:
+            res.fail("tau=%r %s: peeling and the decomposition table disagree" % (tau, params))
     return res
 
 
-def check_simple_divind(deg_max, grid):
+def check_simple_divind(res, deg_max, grid):
     """Simple and induced characters both have divisibility index lam_2."""
-    res = SuiteResult("simple-divind")
-    for params in grid:
-        for lam in _weights2(deg_max):
-            res.count()
-            a = min_last_entry(gl2.simple_character(lam, params))
-            b = min_last_entry(schur_character(lam))
-            if not (a == b == lam[1]):
-                res.fail("lam=%r %s: simple=%d induced=%d" % (lam, params, a, b))
+    for lam, params in _sweep(res, deg_max, grid):
+        res.count()
+        a = min_last_entry(gl2.simple_character(lam, params))
+        b = min_last_entry(schur_character(lam))
+        if not (a == b == lam[1]):
+            res.fail("lam=%r %s: simple=%d induced=%d" % (lam, params, a, b))
     return res
 
 
-def check_divisibility_shift(deg_max, grid):
+def check_divisibility_shift(res, deg_max, grid):
     """divind <= degree/2, and the injective character splits off exactly
     divind determinant factors."""
-    res = SuiteResult("divisibility-shift")
     det = Character.monomial((1, 1))
-    for params in grid:
-        for lam in _weights2(deg_max):
-            res.count()
-            try:
-                m = gl2.divind_injective_closed(lam, params)
-            except gl2.OracleMismatch as exc:
-                res.fail(str(exc))
-                continue
-            if 2 * m > lam.degree():
-                res.fail("lam=%r %s: divind %d above degree/2" % (lam, params, m))
-                continue
-            shifted = gl2.injective_character(lam - m * omega(2), params)
-            if gl2.injective_character(lam, params) != det ** m * shifted:
-                res.fail("lam=%r %s: injective character does not shift by det^%d" % (lam, params, m))
+    for lam, params in _sweep(res, deg_max, grid):
+        res.count()
+        try:
+            m = gl2.divind_injective_closed(lam, params)
+        except gl2.OracleMismatch as exc:
+            res.fail(str(exc))
+            continue
+        if 2 * m > lam.degree():
+            res.fail("lam=%r %s: divind %d above degree/2" % (lam, params, m))
+            continue
+        shifted = gl2.injective_character(lam - m * omega(2), params)
+        if gl2.injective_character(lam, params) != det ** m * shifted:
+            res.fail("lam=%r %s: injective character does not shift by det^%d" % (lam, params, m))
     return res
 
 
-def check_standard_form(deg_max, grid):
+def check_standard_form(res, deg_max, grid):
     """For every infinitesimally injective weight the standard form
     reconstructs the weight, its first factor sits at the Steinberg edge,
     and its character product equals the injective character."""
-    res = SuiteResult("standard-form")
-    for params in grid:
-        for lam in _weights2(deg_max):
-            if not gl2.is_inf_injective_closed(lam, params):
-                continue
-            res.count()
-            try:
-                desc = gl2.standard_form(lam, params)
-            except gl2.OracleMismatch as exc:
-                res.fail(str(exc))
-                continue
-            if gl2.reconstruct_weight(desc, params) != lam:
-                res.fail("lam=%r %s: descriptor does not reconstruct" % (lam, params))
-            if desc.q_weight[0] != params.e - 1:
-                res.fail("lam=%r %s: Q-weight %r off the Steinberg edge" % (lam, params, desc.q_weight))
-            if gl2.standard_form_character(desc, params) != gl2.injective_character(lam, params):
-                res.fail("lam=%r %s: character factorization fails" % (lam, params))
+    for lam, params in _sweep(res, deg_max, grid):
+        if not gl2.is_inf_injective_closed(lam, params):
+            continue
+        res.count()
+        try:
+            desc = gl2.standard_form(lam, params)
+        except gl2.OracleMismatch as exc:
+            res.fail(str(exc))
+            continue
+        if gl2.reconstruct_weight(desc, params) != lam:
+            res.fail("lam=%r %s: descriptor does not reconstruct" % (lam, params))
+        if desc.q_weight[0] != params.e - 1:
+            res.fail("lam=%r %s: Q-weight %r off the Steinberg edge" % (lam, params, desc.q_weight))
+        if gl2.standard_form_character(desc, params) != gl2.injective_character(lam, params):
+            res.fail("lam=%r %s: character factorization fails" % (lam, params))
     return res
 
 
-def check_necessary_inequality(deg_max, grid):
+def check_necessary_inequality(res, deg_max, grid):
     """No infinitesimally injective weight violates the necessary inequality
     for any partition contributing to the quotient-layer injective."""
-    res = SuiteResult("necessary-inequality")
-    for params in grid:
-        if params.p == 0:
-            oracle = injectivity.semisimple_comp_factors
-        else:
-            oracle = gl2.comp_factor_oracle(params.classical())
-        for lam in _weights2(deg_max):
-            if not gl2.is_inf_injective_closed(lam, params):
-                continue
-            res.count()
-            lam0, lbar = eadic_split(lam, params.e)
-            if not injectivity.necessary_condition(lam0, lbar, params.e, oracle):
-                res.fail("lam=%r %s violates the necessary inequality" % (lam, params))
+    for lam, params in _sweep(res, deg_max, grid):
+        if not gl2.is_inf_injective_closed(lam, params):
+            continue
+        res.count()
+        oracle = (injectivity.semisimple_comp_factors if params.p == 0
+                  else gl2.comp_factor_oracle(params.classical()))
+        lam0, lbar = eadic_split(lam, params.e)
+        if not injectivity.necessary_condition(lam0, lbar, params.e, oracle):
+            res.fail("lam=%r %s violates the necessary inequality" % (lam, params))
     return res
 
 
-def check_higher_kernels(deg_max, grid):
+def check_higher_kernels(res, deg_max, grid):
     """Injectivity over the (m+1)-th Frobenius kernel implies injectivity
     over the m-th, and the m-th kernel verdict is the conjunction of the
     first-kernel inequality oracle on the first m iterated quotients: lam
     at ``params``, its e-adic quotient at the classical parameters, then
     the base-p quotients."""
-    res = SuiteResult("higher-kernels")
-    for params in grid:
-        for lam in _weights2(deg_max):
-            flags = [gl2.is_gm_injective(lam, m, params) for m in range(1, KERNEL_M_MAX + 2)]
-            expected, ok, quotient, at = [], True, lam, params
-            for _ in flags:
-                ok = ok and gl2.is_inf_injective_inequality(quotient, at)
-                expected.append(ok)
-                quotient, at = eadic_split(quotient, at.e)[1], at.classical()
-            for m in range(KERNEL_M_MAX):
-                res.count()
-                if flags[m + 1] and not flags[m]:
-                    res.fail("lam=%r %s: kernel %d injective but %d not" % (lam, params, m + 2, m + 1))
-            for m, (flag, want) in enumerate(zip(flags, expected), 1):
-                if flag != want:
-                    res.fail("lam=%r %s: kernel %d closed %r vs iterated inequality %r"
-                             % (lam, params, m, flag, want))
+    for lam, params in _sweep(res, deg_max, grid):
+        flags = [gl2.is_gm_injective(lam, m, params) for m in range(1, KERNEL_M_MAX + 2)]
+        expected, ok, quotient, at = [], True, lam, params
+        for _ in flags:
+            ok = ok and gl2.is_inf_injective_inequality(quotient, at)
+            expected.append(ok)
+            quotient, at = eadic_split(quotient, at.e)[1], at.classical()
+        for m in range(KERNEL_M_MAX):
+            res.count()
+            if flags[m + 1] and not flags[m]:
+                res.fail("lam=%r %s: kernel %d injective but %d not" % (lam, params, m + 2, m + 1))
+        for m, (flag, want) in enumerate(zip(flags, expected), 1):
+            if flag != want:
+                res.fail("lam=%r %s: kernel %d closed %r vs iterated inequality %r"
+                         % (lam, params, m, flag, want))
     return res
 
 
-def check_criterion_layer(deg_max, grid):
+def check_criterion_layer(res, deg_max, grid):
     """The rank-generic inequality, fed with the oracle divisibility index
     of the quotient layer, matches the rank-2 digit test; and the Steinberg
     range condition is sufficient for it."""
-    res = SuiteResult("criterion-layer")
-    for params in grid:
+    for lam, params in _sweep(res, deg_max, grid):
+        res.count()
         e = params.e
-        for lam in _weights2(deg_max):
-            res.count()
-            lam0 = eadic_split(lam, e)[0]
-            verdict = gl2.is_inf_injective_inequality(lam, params)
-            if verdict != gl2.is_inf_injective_closed(lam, params):
-                res.fail("lam=%r %s: criterion %r vs digit test" % (lam, params, verdict))
-            if injectivity.steinberg_range(lam0, e) and not verdict:
-                res.fail("lam=%r %s: Steinberg range not sufficient" % (lam, params))
-            mu = injectivity.steinberg_complement(lam0, e)
-            if mu is not None:
-                if not is_column_regular(mu, e):
-                    res.fail("lam=%r %s: complement %r not regular" % (lam, params, mu))
-                if (e - 1) * Weight((1, 0)) + mu.reversed() != lam0:
-                    res.fail("lam=%r %s: complement identity fails" % (lam, params))
+        lam0 = eadic_split(lam, e)[0]
+        verdict = gl2.is_inf_injective_inequality(lam, params)
+        if verdict != gl2.is_inf_injective_closed(lam, params):
+            res.fail("lam=%r %s: criterion %r vs digit test" % (lam, params, verdict))
+        if injectivity.steinberg_range(lam0, e) and not verdict:
+            res.fail("lam=%r %s: Steinberg range not sufficient" % (lam, params))
+        mu = injectivity.steinberg_complement(lam0, e)
+        if mu is not None:
+            if not is_column_regular(mu, e):
+                res.fail("lam=%r %s: complement %r not regular" % (lam, params, mu))
+            if (e - 1) * Weight((1, 0)) + mu.reversed() != lam0:
+                res.fail("lam=%r %s: complement identity fails" % (lam, params))
     return res
 
 
-def check_table_determinism(deg_max):
+def check_table_determinism(res, deg_max):
     """Rendering the classification table twice gives identical bytes."""
     from .cli import render_table, table_rows
 
-    res = SuiteResult("table-determinism")
     for params in (GroupParams(1, 2), GroupParams(2, 3)):
         for fmt in ("text", "csv", "json"):
             res.count()
@@ -551,20 +543,23 @@ def check_table_determinism(deg_max):
 
 def run_suite(suite, deg_max, grid):
     """Run one registry entry with its degree bound capped at ``deg_max``
-    on the (l, p) pairs of ``grid``.  A suite blowing up is itself a
-    failure, reported under the suite's name."""
+    on the (l, p) pairs of ``grid``, recording into a fresh
+    :class:`SuiteResult` under the registry name.  A suite blowing up is
+    itself a failure on that result: the instances counted so far stay,
+    and the message names the instance under test and the exception."""
     name, bound, kind = suite
-    args = (min(deg_max, bound),)
+    res = SuiteResult(name)
+    args = (res, min(deg_max, bound))
     if kind == "params":
         args += (grid,)
     elif kind == "kernel":
         args += (tuple(p for p in grid if p.p > 0) or KERNEL_GRID,)
     try:
-        return globals()["check_" + name.replace("-", "_")](*args)
+        globals()["check_" + name.replace("-", "_")](*args)
     except Exception as exc:  # a crashed suite must not kill the report
-        crashed = SuiteResult(name)
-        crashed.fail("suite crashed: %s: %s" % (type(exc).__name__, exc))
-        return crashed
+        at = " at %r %s" % res.at if res.at else ""
+        res.fail("suite crashed after %d instances%s: %r" % (res.instances, at, exc))
+    return res
 
 
 def run_all(deg_max=20, grid=PARAM_GRID):

@@ -40,7 +40,8 @@ class UsageError(ValueError):
 # limit is a usage error.  TERM_LIMIT bounds the terms of a printed
 # character: a Schur character enumerates its tableaux one by one (892,500
 # for 13,7,3,1,0 take about 2 s) and any other rank-2 character is a vector
-# of degree + 1 coefficients.  TABLE_ROW_LIMIT bounds the rows of a table
+# of degree + 1 coefficients; it also bounds the printed cells of a table,
+# rows times (6 + --gm-max).  TABLE_ROW_LIMIT bounds the rows of a table
 # and COLUMN_ROW_LIMIT the lam_2 + 1 rows of the decomposition column that
 # --check and char injective solve.
 TERM_LIMIT = 10 ** 6
@@ -281,6 +282,9 @@ def cmd_table(args):
     # sum over r <= deg_max of (r // 2 + 1), the rank-2 partitions of each degree
     rows = (args.deg_max // 2 + 1) * ((args.deg_max + 1) // 2 + 1)
     _check_budget(rows, TABLE_ROW_LIMIT, "table to degree %d" % args.deg_max, "rows")
+    # five verdict columns, one per Frobenius kernel, then the standard form
+    _check_budget(rows * (6 + args.gm_max), TERM_LIMIT,
+                  "table to degree %d with --gm-max %d" % (args.deg_max, args.gm_max), "cells")
     return render_table(table_rows(args.deg_max, params), args.format, gm_max=args.gm_max)
 
 

@@ -55,7 +55,7 @@ from typing import Optional
 
 from .characters import Character, PeelError, peel_into_basis
 from .injectivity import injectivity_criterion
-from .schur import h_character, partitions
+from .schur import h_character
 from .weights import GroupParams, Weight, _int_weight, digit_expansion, eadic_split, omega
 
 
@@ -74,11 +74,6 @@ def _check_weight(lam):
     if not (lam.is_dominant() and lam.is_polynomial()):
         raise ValueError("expected a dominant polynomial weight, got %r" % (lam,))
     return lam
-
-
-def partitions2(r):
-    """Partitions of r into at most two parts, lex-descending."""
-    return partitions(r, 2)
 
 
 # ---------------------------------------------------------------------------

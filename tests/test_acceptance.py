@@ -33,13 +33,28 @@ def test_suite_at_registry_bound(suite):
     _require(checks.run_suite(suite, suite[1], checks.PARAM_GRID))
 
 
-def test_registry_is_complete():
-    """Every public suite function is registered, and selfcheck runs the
-    registry in order."""
+def test_registry_is_complete(monkeypatch):
+    """Every public suite function is registered, selfcheck runs the
+    registry in order through the module attributes (which a tracer may
+    wrap), and each suite returns the very result it was handed, named
+    after its registry entry."""
     registered = {"check_" + name.replace("-", "_") for name in SUITES}
     public = {name for name in vars(checks) if name.startswith("check_")}
     assert public == registered
-    assert [r.name for r in checks.run_all(0)] == list(SUITES)
+    calls = []
+
+    def recording(check):
+        def wrapper(res, *args):
+            calls.append((res, check(res, *args)))
+            return calls[-1][1]
+        return wrapper
+
+    for attr in registered:
+        monkeypatch.setattr(checks, attr, recording(getattr(checks, attr)))
+    results = checks.run_all(0)
+    assert [r.name for r in results] == list(SUITES)
+    assert len(calls) == len(results)
+    assert all(handed is returned is res for (handed, returned), res in zip(calls, results))
 
 
 def test_higher_kernel_monotonicity_and_instance():

@@ -102,6 +102,8 @@ def test_usage_errors_exit_one():
     assert run(["char", "sympow", "--weight", "1000000", "--l", "1", "--p", "2"])[0] == 1
     assert run(["char", "simple", "--weight", "2000000,0", "--l", "3", "--p", "0"])[0] == 1
     assert run(["table", "--deg-max", "800", "--l", "1", "--p", "2"])[0] == 1  # 160,801 rows
+    # one row of 1,000,006 cells
+    assert run(["table", "--deg-max", "0", "--l", "1", "--p", "2", "--gm-max", "1000000"])[0] == 1
     # columns of 16,001 rows
     assert run(["char", "injective", "--weight", "48000,16000", "--l", "1", "--p", "2"])[0] == 1
     assert run(["classify", "--weight", "48000,16000", "--l", "1", "--p", "2", "--check"])[0] == 1
@@ -199,7 +201,7 @@ def test_table_json_matches_library():
 
 
 def test_table_in_process_determinism():
-    result = checks.check_table_determinism(8)
+    result = checks.run_suite(("table-determinism", 8, None), 8, ())
     assert result.ok, result.failures
 
 
@@ -244,7 +246,25 @@ def test_crashed_suite_names_the_exception(monkeypatch):
     monkeypatch.setattr(checks, "check_table_determinism", boom)
     crashed = checks.run_all(deg_max=0, grid=(GroupParams(1, 2),))[-1]
     assert crashed.name == "table-determinism"
-    assert crashed.failures == ["suite crashed: KeyError: 'no such table'"]
+    assert crashed.failures == ["suite crashed after 0 instances: KeyError('no such table')"]
+
+
+def test_suite_crash_mid_sweep_names_the_instance(monkeypatch):
+    """A suite that raises mid-sweep keeps its partial count, and its FAIL
+    line names the weight and params under test and the exception, even one
+    whose message is empty."""
+    original = gl2.divind_injective_oracle
+
+    def stops(lam, params):
+        if lam == Weight((5, 2)) and params == GroupParams(1, 2):
+            raise StopIteration
+        return original(lam, params)
+
+    monkeypatch.setattr(gl2, "divind_injective_oracle", stops)
+    rc, out = run(["selfcheck", "--deg-max", "7", "--l", "1", "--p", "2"])
+    assert rc == 2
+    assert ("FAIL  divind-equivalence                19 instances\n"
+            "      suite crashed after 19 instances at Weight(5, 2) l=1,p=2: StopIteration()") in out
 
 
 def test_oracle_mismatch_exit_code(monkeypatch):

@@ -20,7 +20,6 @@ from polyinj.gl2 import (
     is_gm_injective,
     is_inf_injective_closed,
     is_inf_injective_inequality,
-    partitions2,
     reconstruct_weight,
     simple_character,
     standard_form,
@@ -28,7 +27,7 @@ from polyinj.gl2 import (
     sympow_character_recursive,
     sym_power_factor_oracle,
 )
-from polyinj.schur import h_character, schur_character
+from polyinj.schur import h_character, partitions, schur_character
 from polyinj.weights import GroupParams, Weight, eadic_split, omega
 
 P12 = GroupParams(1, 2)
@@ -60,7 +59,7 @@ def test_simple_character_examples():
 def test_simple_character_highest_weight_multiplicity_one():
     for params in (P12, P22, P20):
         for r in range(12):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 assert simple_character(lam, params).coeff(lam) == 1
 
 
@@ -88,7 +87,7 @@ def test_sympow_examples():
 def test_decomposition_numbers():
     for params in (P12, P22, P20):
         for r in range(8):
-            for tau in partitions2(r):
+            for tau in partitions(r, 2):
                 assert decomposition_number(tau, tau, params) == 1
     assert decomposition_number(W(2, 0), W(1, 1), P12) == 1
     assert decomposition_number(W(6, 1), W(5, 2), P22) == 0
@@ -118,7 +117,7 @@ def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
     with pytest.raises(PeelError, match="leading multiplicity one"):
         gl2.decomposition_column(W(4, 0), P12)
     monkeypatch.undo()
-    row = {lam: decomposition_number(W(4, 0), lam, P12) for lam in partitions2(4)}
+    row = {lam: decomposition_number(W(4, 0), lam, P12) for lam in partitions(4, 2)}
     assert row == {W(4, 0): 1, W(3, 1): 1, W(2, 2): 1}
 
 
@@ -137,7 +136,7 @@ def test_simple_coefficient_matches_simple_vectors():
 def test_peeling_soundness_wide_grid():
     """Peeling agrees with the decomposition numbers over the wide grid, up to
     degree 60."""
-    result = checks.check_peeling_soundness(60, WIDE_GRID)
+    result = checks.run_suite(("peeling-soundness", 60, "params"), 60, WIDE_GRID)
     assert result.ok, result.failures
 
 
@@ -147,7 +146,7 @@ def test_decomposition_table_reach():
     dict-based peeling."""
     params = GroupParams(5, 7)
     t0 = time.perf_counter()
-    columns = {lam: gl2.decomposition_column(lam, params) for lam in partitions2(1000)}
+    columns = {lam: gl2.decomposition_column(lam, params) for lam in partitions(1000, 2)}
     assert time.perf_counter() - t0 < 10
     assert len(columns) == 501
     basis = lambda w: simple_character(w, params)
@@ -192,9 +191,9 @@ def test_vector_characters_match_dict_formulas_wide_grid():
     recursion is h_r (up to degree 60)."""
     for params in WIDE_GRID:
         for r in range(31):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 expected = Character.zero(2)
-                for tau in partitions2(r):
+                for tau in partitions(r, 2):
                     expected = expected + decomposition_number(tau, lam, params) * schur_character(tau)
                 assert injective_character(lam, params) == expected, (lam, params)
                 if not is_inf_injective_closed(lam, params):
@@ -319,7 +318,7 @@ def test_standard_form_small_branch():
     found = 0
     for params in (P32, GroupParams(3, 0)):
         for r in range(16):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 if not is_inf_injective_closed(lam, params):
                     continue
                 desc = standard_form(lam, params)
@@ -439,7 +438,7 @@ def test_classify_check_reads_each_column_once(monkeypatch):
 def test_gm_flags_match_kernel_tests():
     for params in WIDE_GRID:
         for r in range(25):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 cls = classify(lam, params)
                 assert cls.oracle_checked
                 if params.p == 0:
@@ -452,7 +451,7 @@ def test_gm_flags_match_kernel_tests():
 def test_classify_consistency_bounds():
     for params in (P12, P22, P20):
         for r in range(12):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 cls = classify(lam, params)
                 assert cls.critical == (cls.divind == 0)
                 assert 2 * cls.divind <= lam.degree()
@@ -466,7 +465,7 @@ def test_classify_consistency_bounds():
 def test_simple_and_induced_divisibility_is_last_entry():
     for params in (P12, P32, P20):
         for r in range(10):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 assert min_last_entry(simple_character(lam, params)) == lam[1]
                 assert min_last_entry(schur_character(lam)) == lam[1]
 
@@ -475,7 +474,7 @@ def test_injective_character_determinant_shift():
     det = Character.monomial((1, 1))
     for params in (P12, P22):
         for r in range(10):
-            for lam in partitions2(r):
+            for lam in partitions(r, 2):
                 m = divind_injective_closed(lam, params)
                 shifted = injective_character(lam - m * omega(2), params)
                 assert injective_character(lam, params) == det ** m * shifted
