@@ -138,6 +138,16 @@ def _weights2(deg_max):
         yield from partitions(r, 2)
 
 
+def _sweep(res, deg_max, grid):
+    """Every rank-2 weight of degree <= deg_max at every (l, p) of ``grid``,
+    as ``(lam, params)``, each recorded on ``res`` as the instance under
+    test so that a crash can name it."""
+    for params in grid:
+        for lam in _weights2(deg_max):
+            res.at = (lam, params)
+            yield lam, params
+
+
 # ---------------------------------------------------------------------------
 # weight combinatorics
 
@@ -244,15 +254,14 @@ def check_character_ring(res, deg_max):
             if frobenius_twist(a * b, 2) != frobenius_twist(a, 2) * frobenius_twist(b, 2):
                 res.fail("twist not multiplicative at %r, %r" % (lam, mu))
     # factor-level vs weight-level divisibility, through simple-basis peeling
-    for params in (GroupParams(1, 2), GroupParams(2, 3)):
+    for lam, params in _sweep(res, min(deg_max, 7), (GroupParams(1, 2), GroupParams(2, 3))):
         basis = lambda w: gl2.simple_character(w, params)
-        for lam in _weights2(min(deg_max, 7)):
-            for mu in _weights2(min(deg_max, 7)):
-                res.count()
-                chi = gl2.simple_character(lam, params) * gl2.simple_character(mu, params)
-                factors = peel_into_basis(chi, basis)
-                if injectivity.divind_from_factors(factors.items()) != min_last_entry(chi):
-                    res.fail("factor/weight divisibility split at %r x %r, %s" % (lam, mu, params))
+        for mu in _weights2(min(deg_max, 7)):
+            res.count()
+            chi = gl2.simple_character(lam, params) * gl2.simple_character(mu, params)
+            factors = peel_into_basis(chi, basis)
+            if injectivity.divind_from_factors(factors.items()) != min_last_entry(chi):
+                res.fail("factor/weight divisibility split at %r x %r, %s" % (lam, mu, params))
     return res
 
 
@@ -313,16 +322,6 @@ def check_sym_tensor_support(res, deg_max):
 
 # ---------------------------------------------------------------------------
 # rank-2 closed forms vs oracles
-
-
-def _sweep(res, deg_max, grid):
-    """Every rank-2 weight of degree <= deg_max at every (l, p) of ``grid``,
-    as ``(lam, params)``, each recorded on ``res`` as the instance under
-    test so that a crash can name it."""
-    for params in grid:
-        for lam in _weights2(deg_max):
-            res.at = (lam, params)
-            yield lam, params
 
 
 def check_divind_equivalence(res, deg_max, grid):
