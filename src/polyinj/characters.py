@@ -108,9 +108,7 @@ class Character:
         if isinstance(other, int):
             if other == 0:
                 return Character(self.n)
-            res = Character(self.n)
-            res._terms = {exp: other * m for exp, m in self._terms.items()}
-            return res
+            return Character._from_clean(self.n, {exp: other * m for exp, m in self._terms.items()})
         if not isinstance(other, Character):
             return NotImplemented
         self._same_rank(other)

@@ -11,9 +11,11 @@ under the registry name and hands it to ``check_<name>(res, deg_max[,
 grid])``, which counts instances and records failures on it and returns
 it.  The rank-2 suites iterate over :func:`_sweep`, which yields every
 ``(lam, params)`` pair and records it on the result as the instance under
-test.  A suite that raises keeps its partial count, and the runner adds
-one failure naming the instance and the exception, e.g. ``suite crashed
-after 19 instances at Weight(5, 2) l=1,p=2: StopIteration()``.
+test.  The rank-generic suites walk it too, at ranks 1..N_MAX and with
+no parameters.  A suite that raises keeps its partial count, and the
+runner adds one failure naming the instance and the exception, e.g.
+``suite crashed after 19 instances at Weight(5, 2) l=1,p=2:
+StopIteration()`` or ``... at Weight(2, 1, 0): ...``.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class SuiteResult:
     instances: int = 0
     failures: list = field(default_factory=list)
     failure_count: int = 0
-    at: tuple = None  # the rank-2 (lam, params) under test, set by _sweep
+    at: tuple = None  # the (lam, params) under test, set by _sweep
 
     @property
     def ok(self):
@@ -133,19 +135,21 @@ class SuiteResult:
         return line
 
 
-def _weights2(deg_max):
+def _weights(deg_max, n):
     for r in range(deg_max + 1):
-        yield from partitions(r, 2)
+        yield from partitions(r, n)
 
 
-def _sweep(res, deg_max, grid):
-    """Every rank-2 weight of degree <= deg_max at every (l, p) of ``grid``,
-    as ``(lam, params)``, each recorded on ``res`` as the instance under
-    test so that a crash can name it."""
+def _sweep(res, deg_max, grid, ranks=(2,)):
+    """Every weight of degree <= deg_max at each rank of ``ranks`` (by
+    rank, then degree) at every (l, p) of ``grid`` (None for a suite that
+    takes none), as ``(lam, params)``, each recorded on ``res`` as the
+    instance under test so that a crash can name it."""
     for params in grid:
-        for lam in _weights2(deg_max):
-            res.at = (lam, params)
-            yield lam, params
+        for n in ranks:
+            for lam in _weights(deg_max, n):
+                res.at = (lam, params)
+                yield lam, params
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +168,17 @@ def check_eadic_roundtrip(res, deg_max):
             for box in itertools.product(range(e), repeat=n):
                 cand = Weight(list(itertools.accumulate(box))[::-1])
                 buckets.setdefault(tuple(a % e for a in cand), []).append(cand)
-            for r in range(deg_max + 1):
-                for lam in partitions(r, n):
-                    res.count()
-                    lam0, lbar = eadic_split(lam, e)
-                    if lam0 + e * lbar != lam or not is_column_regular(lam0, e):
-                        res.fail("split of %r base %d broken: %r + %d*%r" % (lam, e, lam0, e, lbar))
-                        continue
-                    if not (lbar.is_dominant() and lbar.is_polynomial()):
-                        res.fail("quotient of %r base %d not a partition: %r" % (lam, e, lbar))
-                    matches = buckets.get(tuple(a % e for a in lam), [])
-                    if matches != [lam0]:
-                        res.fail("split of %r base %d: got %r, candidates %r" % (lam, e, lam0, matches))
+            for lam, _ in _sweep(res, deg_max, (None,), (n,)):
+                res.count()
+                lam0, lbar = eadic_split(lam, e)
+                if lam0 + e * lbar != lam or not is_column_regular(lam0, e):
+                    res.fail("split of %r base %d broken: %r + %d*%r" % (lam, e, lam0, e, lbar))
+                    continue
+                if not (lbar.is_dominant() and lbar.is_polynomial()):
+                    res.fail("quotient of %r base %d not a partition: %r" % (lam, e, lbar))
+                matches = buckets.get(tuple(a % e for a in lam), [])
+                if matches != [lam0]:
+                    res.fail("split of %r base %d: got %r, candidates %r" % (lam, e, lam0, matches))
     return res
 
 
@@ -208,21 +211,16 @@ def check_dominance_order(res, deg_max):
 def check_digit_expansion(res, deg_max, grid):
     """Every digit is column-regular for its base and the expansion
     reconstructs the weight."""
-    for params in grid:
-        for n in range(1, N_MAX + 1):
-            for r in range(deg_max + 1):
-                for lam in partitions(r, n):
-                    res.count()
-                    exp = digit_expansion(lam, params)
-                    if exp.reconstruct() != lam:
-                        res.fail("expansion of %r at %s does not reconstruct" % (lam, params))
-                        continue
-                    if not is_column_regular(exp.quantum_digit, params.e):
-                        res.fail("quantum digit of %r at %s not regular" % (lam, params))
-                    if params.p > 0 and not all(
-                        is_column_regular(d, params.p) for d in exp.classical_digits
-                    ):
-                        res.fail("classical digits of %r at %s not regular" % (lam, params))
+    for lam, params in _sweep(res, deg_max, grid, range(1, N_MAX + 1)):
+        res.count()
+        exp = digit_expansion(lam, params)
+        if exp.reconstruct() != lam:
+            res.fail("expansion of %r at %s does not reconstruct" % (lam, params))
+            continue
+        if not is_column_regular(exp.quantum_digit, params.e):
+            res.fail("quantum digit of %r at %s not regular" % (lam, params))
+        if params.p > 0 and not all(is_column_regular(d, params.p) for d in exp.classical_digits):
+            res.fail("classical digits of %r at %s not regular" % (lam, params))
     return res
 
 
@@ -256,7 +254,7 @@ def check_character_ring(res, deg_max):
     # factor-level vs weight-level divisibility, through simple-basis peeling
     for lam, params in _sweep(res, min(deg_max, 7), (GroupParams(1, 2), GroupParams(2, 3))):
         basis = lambda w: gl2.simple_character(w, params)
-        for mu in _weights2(min(deg_max, 7)):
+        for mu in _weights(min(deg_max, 7), 2):
             res.count()
             chi = gl2.simple_character(lam, params) * gl2.simple_character(mu, params)
             factors = peel_into_basis(chi, basis)
@@ -272,34 +270,30 @@ def check_character_ring(res, deg_max):
 def check_schur_agreement(res, deg_max):
     """The Schur character (the closed form at rank 2) agrees with both the
     tableau and the Jacobi-Trudi routes at every rank."""
-    for n in range(1, N_MAX + 1):
-        for r in range(deg_max + 1):
-            for lam in partitions(r, n):
-                res.count()
-                chi = schur_character(lam)
-                if chi != _schur_ssyt(lam):
-                    res.fail("schur_character vs tableaux disagree at %r" % (lam,))
-                if chi != schur_character_jt(lam):
-                    res.fail("schur_character vs determinant disagree at %r" % (lam,))
+    for lam, _ in _sweep(res, deg_max, (None,), range(1, N_MAX + 1)):
+        res.count()
+        chi = schur_character(lam)
+        if chi != _schur_ssyt(lam):
+            res.fail("schur_character vs tableaux disagree at %r" % (lam,))
+        if chi != schur_character_jt(lam):
+            res.fail("schur_character vs determinant disagree at %r" % (lam,))
     return res
 
 
 def check_pieri_products(res, deg_max):
     """s_lam * h_r equals the multiplicity-free sum over the horizontal-strip
     expansion."""
-    for n in range(1, N_MAX + 1):
-        for d in range(deg_max + 1):
-            for lam in partitions(d, n):
-                for r in range(deg_max - d + 1):
-                    res.count()
-                    expansion = pieri_expand(lam, r)
-                    if len(set(expansion)) != len(expansion):
-                        res.fail("expansion of %r + strip %d not multiplicity-free" % (lam, r))
-                    total = Character.zero(n)
-                    for mu in expansion:
-                        total = total + schur_character(mu)
-                    if total != schur_character(lam) * h_character(r, n):
-                        res.fail("strip expansion of %r + %d wrong" % (lam, r))
+    for lam, _ in _sweep(res, deg_max, (None,), range(1, N_MAX + 1)):
+        for r in range(deg_max - lam.degree() + 1):
+            res.count()
+            expansion = pieri_expand(lam, r)
+            if len(set(expansion)) != len(expansion):
+                res.fail("expansion of %r + strip %d not multiplicity-free" % (lam, r))
+            total = Character.zero(lam.n)
+            for mu in expansion:
+                total = total + schur_character(mu)
+            if total != schur_character(lam) * h_character(r, lam.n):
+                res.fail("strip expansion of %r + %d wrong" % (lam, r))
     return res
 
 
@@ -309,14 +303,13 @@ def check_sym_tensor_support(res, deg_max):
     parts."""
     for n in range(1, N_MAX + 1):
         for m in range(1, n + 1):
-            for r in range(deg_max + 1):
-                alphas = compositions(r, m)
-                for lam in partitions(r, n):
-                    res.count()
-                    total = sum(sym_tensor_nabla_mult(alpha, lam) for alpha in alphas)
-                    expected = all(a == 0 for a in lam[m:])
-                    if bool(total) != expected:
-                        res.fail("support criterion fails at n=%d m=%d %r" % (n, m, lam))
+            for lam, _ in _sweep(res, deg_max, (None,), (n,)):
+                res.count()
+                alphas = compositions(lam.degree(), m)
+                total = sum(sym_tensor_nabla_mult(alpha, lam) for alpha in alphas)
+                expected = all(a == 0 for a in lam[m:])
+                if bool(total) != expected:
+                    res.fail("support criterion fails at n=%d m=%d %r" % (n, m, lam))
     return res
 
 
@@ -556,7 +549,8 @@ def run_suite(suite, deg_max, grid):
     try:
         globals()["check_" + name.replace("-", "_")](*args)
     except Exception as exc:  # a crashed suite must not kill the report
-        at = " at %r %s" % res.at if res.at else ""
+        lam, params = res.at or (None, None)
+        at = "" if lam is None else " at %r" % (lam,) + (" %s" % params if params else "")
         res.fail("suite crashed after %d instances%s: %r" % (res.instances, at, exc))
     return res
 

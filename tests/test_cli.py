@@ -267,6 +267,23 @@ def test_suite_crash_mid_sweep_names_the_instance(monkeypatch):
             "      suite crashed after 19 instances at Weight(5, 2) l=1,p=2: StopIteration()") in out
 
 
+def test_rank_generic_suite_crash_names_the_weight(monkeypatch):
+    """A crash in a suite that takes no (l, p) names the weight alone."""
+    original = checks.schur_character_jt
+
+    def fails(lam):
+        if lam == Weight((2, 1, 0)):
+            raise ValueError("no determinant")
+        return original(lam)
+
+    monkeypatch.setattr(checks, "schur_character_jt", fails)
+    rc, out = run(["selfcheck", "--deg-max", "3", "--l", "1", "--p", "2"])
+    assert rc == 2
+    assert ("FAIL  schur-agreement                   16 instances\n"
+            "      suite crashed after 16 instances at Weight(2, 1, 0): ValueError('no determinant')"
+            ) in out
+
+
 def test_oracle_mismatch_exit_code(monkeypatch):
     original = gl2._divind_formula
     monkeypatch.setattr(gl2, "_divind_formula", lambda layers: original(layers) + 1)

@@ -128,9 +128,20 @@ def test_simple_coefficient_matches_simple_vectors():
     for params in WIDE_GRID:
         e, p = params.e, params.p
         for n in range(121):
-            v = gl2._simple_character(W(n, 0), params)
+            v = gl2._simple_character(n, params)
             got = [gl2._simple_coefficient(n, k, e, p) for k in range(-1, n + 2)]
             assert got == [0, *v, 0], (n, params)
+
+
+def test_simple_vectors_are_memoized_per_sl2_weight():
+    """Every simple of degree <= 40 at two (l, p) pairs fills the memo with
+    one vector per SL2 weight a - b and layer, not one per weight (906)."""
+    gl2._simple_character.cache_clear()
+    for params in (P12, GroupParams(5, 7)):
+        for r in range(41):
+            for lam in partitions(r, 2):
+                simple_character(lam, params)
+    assert gl2._simple_character.cache_info().currsize < 100
 
 
 def test_peeling_soundness_wide_grid():
