@@ -110,7 +110,7 @@ class SuiteResult:
     instances: int = 0
     failures: list = field(default_factory=list)
     failure_count: int = 0
-    at: tuple = None  # the (lam, params) under test, set by _sweep
+    at: tuple = None  # the (lam, params) under test; params None in a suite without a grid
 
     @property
     def ok(self):
@@ -189,19 +189,19 @@ def check_dominance_order(res, deg_max):
             slice_ = partitions(r, n)
             above = {}  # lam -> the other mu of the slice with lam <= mu, in slice order
             for lam in slice_:
+                res.at = (lam, None)
                 res.count()
                 if not dominance_leq(lam, lam):
                     res.fail("not reflexive at %r" % (lam,))
                 above[lam] = [mu for mu in slice_ if mu != lam and dominance_leq(lam, mu)]
             for lam in slice_:
+                res.at = (lam, None)
                 for mu in above[lam]:
                     if dominance_leq(mu, lam):
                         res.fail("antisymmetry fails at %r, %r" % (lam, mu))
                     if not lam <= mu:
                         res.fail("lex does not refine dominance at %r <= %r" % (lam, mu))
-            # transitivity can only fail along a chain lam <= mu <= nu
-            for lam in slice_:
-                for mu in above[lam]:
+                    # transitivity can only fail along a chain lam <= mu <= nu
                     for nu in above[mu]:
                         if nu != lam and not dominance_leq(lam, nu):
                             res.fail("transitivity fails at %r, %r, %r" % (lam, mu, nu))
@@ -239,12 +239,14 @@ def check_character_ring(res, deg_max):
         small = [lam for lam in pool if lam.degree() <= min(deg_max, 5)]
         for _ in range(RING_SAMPLES):
             lam, mu = rng.choice(pool), rng.choice(pool)
+            res.at = ((lam, mu), None)
             res.count()
             a, b = schur_character(lam), schur_character(mu)
             if min_last_entry(a * b) != min_last_entry(a) + min_last_entry(b):
                 res.fail("divisibility not additive at %r, %r" % (lam, mu))
         for _ in range(RING_SAMPLES):
             lam, mu = rng.choice(small), rng.choice(small)
+            res.at = ((lam, mu), None)
             res.count()
             a, b = schur_character(lam), schur_character(mu)
             if a * b != b * a:
@@ -367,6 +369,7 @@ def check_sympow_recursion(res, deg_max, grid):
     complete homogeneous character."""
     for params in grid:
         for r in range(deg_max + 1):
+            res.at = (Weight((r, 0)), params)
             res.count()
             if gl2.sympow_character_recursive(r, params) != h_character(r, 2):
                 res.fail("degree %d at %s" % (r, params))

@@ -411,10 +411,10 @@ def main(argv=None, out=None):
     except ChecksFailed as exc:
         out.write(str(exc))
         return 2
-    except gl2.OracleMismatch as exc:
+    except (gl2.OracleMismatch, PeelError) as exc:
         sys.stderr.write("oracle disagreement: %s\n" % exc)
         return 2
-    except (ValueError, PeelError) as exc:
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     return 0

@@ -29,9 +29,9 @@ column's first nonzero entry, and criticality is its entry in the row of
 the symmetric power.  The simple vectors serve ``simple_character``, the
 symmetric-power recursion and the peeling bases, so peeling against them
 and the columns are two independent evaluations of the tensor product
-theorem.  Only ``_vector_character`` builds a :class:`Character`, apart
-from the ``sym_power_factor_oracle`` adapter; tableaux, dict peeling and
-the suites' dict arithmetic are the oracles for this path.
+theorem.  Only ``_vector_character`` builds a :class:`Character`;
+tableaux, dict peeling and the suites' dict arithmetic are the oracles for
+this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -56,9 +56,8 @@ from itertools import accumulate
 from operator import add
 from typing import Optional
 
-from .characters import Character, PeelError, peel_into_basis
+from .characters import Character, PeelError
 from .injectivity import injectivity_criterion
-from .schur import h_character
 from .weights import GroupParams, Weight, _int_weight, digit_expansion, eadic_split, omega
 
 
@@ -553,24 +552,10 @@ def classify(lam, params, check=False):
     return Classification(lam, params, crit, div, depth, std, checked)
 
 
-# oracle adapters for the rank-generic criterion layer
+# oracle adapter for the rank-generic criterion layer
 
 
 def comp_factor_oracle(params):
     """Composition-factor oracle (tau, lam) -> [induced(tau) : simple(lam)]."""
     return lambda tau, lam: decomposition_number(tau, lam, params)
 
-
-def sym_power_factor_oracle(params):
-    """Oracle (alpha, lam) -> multiplicity of simple(lam) in the tensor
-    product of symmetric powers prescribed by the composition alpha."""
-
-    def oracle(alpha, lam):
-        lam_ = _check_weight(lam)
-        chi = Character.one(2)
-        for a in alpha:
-            chi = chi * h_character(a, 2)
-        basis = lambda w: simple_character(w, params)
-        return peel_into_basis(chi, basis).get(lam_, 0)
-
-    return oracle

@@ -11,7 +11,7 @@ other ranks can supply their own numbers.
 
 from __future__ import annotations
 
-from .schur import compositions, partitions, sym_tensor_nabla_mult
+from .schur import partitions
 from .weights import Weight, delta, is_column_regular
 
 
@@ -62,16 +62,6 @@ def necessary_condition(lam0, lbar, e, oracle):
     return True
 
 
-def is_critical_via_sympowers(lam, oracle):
-    """Criticality from symmetric powers: the simple of highest weight lam
-    appears in some n-1 fold tensor product of symmetric powers of total
-    degree deg(lam).  ``oracle(alpha, lam)`` supplies the multiplicity for
-    the composition alpha."""
-    lam = Weight(lam)
-    r = lam.degree()
-    return any(oracle(alpha, lam) for alpha in compositions(r, lam.n - 1))
-
-
 def divind_from_factors(factors):
     """Divisibility index of a module read off a factor list
     [(weight, multiplicity), ...]: the least last entry."""
@@ -89,9 +79,3 @@ def semisimple_comp_factors(tau, lam):
     are simple, so [induced(tau) : simple(lam)] is 1 iff tau = lam."""
     return 1 if Weight(tau) == Weight(lam) else 0
 
-
-def semisimple_sym_power_factors(alpha, lam):
-    """Symmetric-power factor oracle of a semisimple category: composition
-    factors coincide with good-filtration factors, so the multiplicity is
-    the iterated Pieri count."""
-    return sym_tensor_nabla_mult(alpha, lam)

@@ -3,6 +3,8 @@ import io
 import json
 import time
 
+import pytest
+
 from polyinj import checks, gl2, weights
 from polyinj.cli import COMMANDS, main
 from polyinj.weights import GroupParams, Weight
@@ -267,28 +269,64 @@ def test_suite_crash_mid_sweep_names_the_instance(monkeypatch):
             "      suite crashed after 19 instances at Weight(5, 2) l=1,p=2: StopIteration()") in out
 
 
-def test_rank_generic_suite_crash_names_the_weight(monkeypatch):
-    """A crash in a suite that takes no (l, p) names the weight alone."""
-    original = checks.schur_character_jt
+@pytest.mark.parametrize("module, attr, bad, expected", [
+    (checks, "schur_character_jt", Weight((2, 1, 0)),
+     "FAIL  schur-agreement                   16 instances\n"
+     "      suite crashed after 16 instances at Weight(2, 1, 0)"),
+    (checks, "dominance_leq", Weight((2, 1)),
+     "FAIL  dominance-order                   10 instances\n"
+     "      suite crashed after 10 instances at Weight(2, 1)"),
+    # character-ring's two random pools name the sampled pair
+    (checks, "min_last_entry", None,
+     "FAIL  character-ring                     1 instances\n"
+     "      suite crashed after 1 instances at (Weight(1, 1), Weight(1, 1))"),
+    (checks, "frobenius_twist", None,
+     "FAIL  character-ring                    26 instances\n"
+     "      suite crashed after 26 instances at (Weight(2, 1), Weight(2, 1))"),
+    # sympow-recursion takes (l, p), so its weight (r, 0) comes with them
+    (gl2, "sympow_character_recursive", 2,
+     "FAIL  sympow-recursion                   3 instances\n"
+     "      suite crashed after 3 instances at Weight(2, 0) l=1,p=2"),
+], ids=["schur-agreement", "dominance-order", "character-ring-pool",
+        "character-ring-small-pool", "sympow-recursion"])
+def test_rank_generic_suite_crash_names_the_weight(monkeypatch, module, attr, bad, expected):
+    """A crash names the instance under test: the weight alone in a suite
+    that takes no (l, p), the pair in a random pool.  ``bad`` None fails
+    every call."""
+    original = getattr(module, attr)
 
-    def fails(lam):
-        if lam == Weight((2, 1, 0)):
-            raise ValueError("no determinant")
-        return original(lam)
+    def fails(first, *rest):
+        if bad is None or first == bad:
+            raise RuntimeError("injected")
+        return original(first, *rest)
 
-    monkeypatch.setattr(checks, "schur_character_jt", fails)
+    monkeypatch.setattr(module, attr, fails)
     rc, out = run(["selfcheck", "--deg-max", "3", "--l", "1", "--p", "2"])
     assert rc == 2
-    assert ("FAIL  schur-agreement                   16 instances\n"
-            "      suite crashed after 16 instances at Weight(2, 1, 0): ValueError('no determinant')"
-            ) in out
+    assert expected + ": RuntimeError('injected')" in out
 
 
-def test_oracle_mismatch_exit_code(monkeypatch):
-    original = gl2._divind_formula
-    monkeypatch.setattr(gl2, "_divind_formula", lambda layers: original(layers) + 1)
-    rc, _ = run(["divind", "--weight", "2,1", "--l", "1", "--p", "2"])
+def _divind_off_by_one(original):
+    return lambda layers: original(layers) + 1
+
+
+def _no_simple_coefficients(original):
+    return lambda n, k, e, p: 0
+
+
+@pytest.mark.parametrize("attr, corrupt, argv", [
+    ("_divind_formula", _divind_off_by_one, ["divind", "--weight", "2,1", "--l", "1", "--p", "2"]),
+    # a column that cannot be solved is an oracle failure too, not a usage error
+    ("_simple_coefficient", _no_simple_coefficients,
+     ["classify", "--weight", "5,2", "--l", "1", "--p", "2", "--check"]),
+    ("_simple_coefficient", _no_simple_coefficients,
+     ["char", "injective", "--weight", "5,2", "--l", "1", "--p", "2"]),
+], ids=["divind", "classify-check", "char-injective"])
+def test_oracle_mismatch_exit_code(monkeypatch, capsys, attr, corrupt, argv):
+    monkeypatch.setattr(gl2, attr, corrupt(getattr(gl2, attr)))
+    rc, _ = run(argv)
     assert rc == 2
+    assert capsys.readouterr().err.startswith("oracle disagreement: ")
 
 
 def test_divind_check_runs_every_classify_oracle(monkeypatch):

@@ -25,7 +25,6 @@ from polyinj.gl2 import (
     standard_form,
     standard_form_character,
     sympow_character_recursive,
-    sym_power_factor_oracle,
 )
 from polyinj.schur import h_character, partitions, schur_character
 from polyinj.weights import GroupParams, Weight, eadic_split, omega
@@ -236,6 +235,7 @@ def test_injective_character_examples():
     "lam, params, expected",
     [
         ((1, 0), P12, True),
+        ((1, 1), P12, True),
         ((2, 1), P12, False),
         ((2, 2), P20, False),
         ((0, 0), P13, True),
@@ -494,10 +494,6 @@ def test_injective_character_determinant_shift():
 def test_oracle_adapters():
     oracle = comp_factor_oracle(P12)
     assert oracle(W(2, 0), W(1, 1)) == 1
-    spo = sym_power_factor_oracle(P12)
-    assert spo((3,), W(2, 1)) == 0
-    assert spo((2,), W(1, 1)) == 1
-    assert spo((2, 1), W(2, 1)) == 1
 
 
 PRIMES_TO_47 = [p for p in range(2, 48) if all(p % d for d in range(2, p))]

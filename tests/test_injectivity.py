@@ -4,10 +4,8 @@ from polyinj import gl2
 from polyinj.injectivity import (
     divind_from_factors,
     injectivity_criterion,
-    is_critical_via_sympowers,
     necessary_condition,
     semisimple_comp_factors,
-    semisimple_sym_power_factors,
     steinberg_complement,
     steinberg_range,
 )
@@ -93,22 +91,6 @@ def test_necessary_condition_semisimple():
             for r in range(4):
                 for lbar in partitions(r, n):
                     assert necessary_condition(lam0, lbar, e, semisimple_comp_factors) is True
-
-
-def test_criticality_via_sympowers_rank2():
-    oracle = gl2.sym_power_factor_oracle(P12)
-    assert is_critical_via_sympowers(W(1, 1), oracle) is True
-    assert is_critical_via_sympowers(W(2, 1), oracle) is False
-
-
-def test_criticality_via_sympowers_semisimple():
-    # in a semisimple category the criterion is purely combinatorial: at most
-    # n-1 nonzero parts
-    for n in (2, 3, 4):
-        for r in range(6):
-            for lam in partitions(r, n):
-                expected = lam[n - 1] == 0
-                assert is_critical_via_sympowers(lam, semisimple_sym_power_factors) is expected
 
 
 def test_divind_from_factors():
