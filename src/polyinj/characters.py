@@ -5,9 +5,19 @@ to nonzero integer multiplicities.  Characters of actual modules have
 positive multiplicities and symmetric support; intermediate differences
 arising during peeling may be arbitrary.  Multiplicities are plain Python
 integers, so they never overflow.
+
+A product of two characters packs each exponent vector into one Python int
+(Kronecker substitution: entries shifted to be nonnegative, read as digits
+in a base wide enough that sums never carry), so a monomial product is one
+integer addition.  Packing changes only the speed: the term map, the exact
+arithmetic and the dict of tuples stay, and this monomial ring remains the
+oracle that any denser representation (a 1-D coefficient vector at rank 2,
+say) is checked against.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .weights import Weight
 
@@ -112,15 +122,26 @@ class Character:
         if not isinstance(other, Character):
             return NotImplemented
         self._same_rank(other)
+        if not (self._terms and other._terms):
+            return Character(self.n)
+        # Kronecker substitution: shift each factor's exponents by its
+        # entrywise minimum and read them as base-``base`` digits, where
+        # ``base`` exceeds every coordinate's range in the product
+        exps1, lo1, hi1 = _exponent_box(self._terms)
+        exps2, lo2, hi2 = _exponent_box(other._terms)
+        base = max((h1 - l1 + h2 - l2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2)), default=0) + 1
+        right = list(zip(_pack(exps2, lo2, base), other._terms.values()))
+        packed = {}
+        get = packed.get
+        for e1, m1 in zip(_pack(exps1, lo1, base), self._terms.values()):
+            for e2, m2 in right:
+                key = e1 + e2
+                packed[key] = get(key, 0) + m1 * m2
+        lo = [l1 + l2 for l1, l2 in zip(lo1, lo2)]
         out = {}
-        for e1, m1 in self._terms.items():
-            for e2, m2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + m1 * m2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+        for key, m in packed.items():
+            if m:
+                out[_unpack(key, lo, base)] = m
         return Character._from_clean(self.n, out)
 
     __rmul__ = __mul__
@@ -166,6 +187,36 @@ class Character:
 
     def to_json_obj(self):
         return [{"exponent": list(exp), "mult": m} for exp, m in self.sorted_terms()]
+
+
+def _exponent_box(terms):
+    """The exponent vectors of a term map as lists of ints, and their
+    entrywise minimum and maximum."""
+    exps = [[index(a) for a in exp] for exp in terms]
+    cols = list(zip(*exps))
+    return exps, [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _pack(exps, lo, base):
+    """Each exponent vector minus ``lo`` as one int, first entry least
+    significant; every shifted entry must lie in [0, base)."""
+    out = []
+    lo = lo[::-1]
+    for exp in exps:
+        key = 0
+        for a, b in zip(reversed(exp), lo):
+            key = key * base + a - b
+        out.append(key)
+    return out
+
+
+def _unpack(key, lo, base):
+    """The exponent tuple packed as ``key`` by :func:`_pack` with ``lo``."""
+    exp = []
+    for b in lo:
+        key, d = divmod(key, base)
+        exp.append(d + b)
+    return tuple(exp)
 
 
 def character_from_json(obj, n=None):

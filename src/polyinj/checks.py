@@ -257,6 +257,7 @@ def check_character_ring(res, deg_max):
     for lam, params in _sweep(res, min(deg_max, 7), (GroupParams(1, 2), GroupParams(2, 3))):
         basis = lambda w: gl2.simple_character(w, params)
         for mu in _weights(min(deg_max, 7), 2):
+            res.at = ((lam, mu), params)
             res.count()
             chi = gl2.simple_character(lam, params) * gl2.simple_character(mu, params)
             factors = peel_into_basis(chi, basis)
@@ -271,7 +272,10 @@ def check_character_ring(res, deg_max):
 
 def check_schur_agreement(res, deg_max):
     """The Schur character (the closed form at rank 2) agrees with both the
-    tableau and the Jacobi-Trudi routes at every rank."""
+    tableau and the Jacobi-Trudi routes at every rank.  Only at rank 2 is
+    the first comparison a test: at every other rank ``schur_character(lam)``
+    is the memoized ``_schur_ssyt(lam)`` itself, so there the real check is
+    the second one, Jacobi-Trudi against tableaux."""
     for lam, _ in _sweep(res, deg_max, (None,), range(1, N_MAX + 1)):
         res.count()
         chi = schur_character(lam)

@@ -141,10 +141,12 @@ def _perm_sign(perm):
 
 @lru_cache(maxsize=None)
 def _h_product(degrees, n):
-    out = Character.one(n)
-    for d in degrees:
-        out = out * _h_character(d, n)
-    return out
+    """h_{d_1} * ... * h_{d_k} for a sorted tuple of positive degrees, built
+    on the memoized product of its prefix, which tuples of a determinant
+    expansion often share."""
+    if not degrees:
+        return Character.one(n)
+    return _h_product(degrees[:-1], n) * _h_character(degrees[-1], n)
 
 
 def schur_character_jt(lam):
@@ -152,14 +154,15 @@ def schur_character_jt(lam):
     expanded over permutations.  Independent of the tableau route."""
     lam = _check_partition(lam)
     n = lam.n
-    total = Character.zero(n)
+    total = {}
     for perm in itertools.permutations(range(n)):
         degs = [lam[i] - i + perm[i] for i in range(n)]
         if any(d < 0 for d in degs):
             continue
-        term = _h_product(tuple(sorted(d for d in degs if d)), n)
-        total = total + _perm_sign(perm) * term
-    return total
+        sign = _perm_sign(perm)
+        for exp, m in _h_product(tuple(sorted(d for d in degs if d)), n).items():
+            total[exp] = total.get(exp, 0) + sign * m
+    return Character._from_clean(n, {exp: m for exp, m in total.items() if m})
 
 
 def pieri_expand(lam, r):

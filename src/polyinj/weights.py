@@ -247,10 +247,11 @@ class DigitExpansion:
         )
 
     def reconstruct(self):
-        acc = Weight((0,) * self.quantum_digit.n)
+        """The weight sum(scale * digit) over :meth:`layers`, in exact ints."""
+        acc = [0] * self.quantum_digit.n
         for d, _, scale in self.layers():
-            acc = acc + scale * d
-        return acc
+            acc = [a + scale * b for a, b in zip(acc, d, strict=True)]
+        return _int_weight(acc)
 
 
 def digit_expansion(lam, params):

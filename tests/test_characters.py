@@ -48,6 +48,103 @@ def test_scalar_and_power():
         X_PLUS_Y ** -1
 
 
+def naive_product(a, b):
+    """The product as the plain double loop over term pairs, with tuple
+    keys: the reference the packed product is pinned to."""
+    out = {}
+    for e1, m1 in a.items():
+        for e2, m2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(key, 0) + m1 * m2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return Character(a.n, out)
+
+
+def random_character(rng, n, max_terms=12, span=4):
+    """Up to ``max_terms`` terms with entries in [-span, span] (so negative
+    ones too) and multiplicities of either sign; possibly zero."""
+    return Character(n, [
+        (tuple(rng.randint(-span, span) for _ in range(n)), rng.choice((-3, -2, -1, 1, 2, 3)))
+        for _ in range(rng.randint(0, max_terms))
+    ])
+
+
+def assert_clean_product(a, b):
+    prod = a * b
+    assert prod == naive_product(a, b)
+    assert all(m != 0 for _, m in prod.items())
+    assert all(type(x) is int for exp in prod.support() for x in exp)
+    return prod
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_product_matches_naive_loop(n):
+    rng = random.Random(100 + n)
+    zero, one = Character.zero(n), Character.one(n)
+    for _ in range(60):
+        a, b = random_character(rng, n), random_character(rng, n)
+        assert_clean_product(a, b)
+        assert_clean_product(a, zero) == zero == assert_clean_product(zero, b)
+        assert assert_clean_product(a, one) == a
+        m = Character.monomial([rng.randint(-9, 9) for _ in range(n)], rng.choice((-2, 1, 5)))
+        assert_clean_product(m, a)
+        assert_clean_product(a, m)
+        assert_clean_product(m, m)
+    # wide exponent ranges in one coordinate, narrow in the others
+    a = Character(n, {(10 ** 6,) + (0,) * (n - 1): 1, (-(10 ** 6),) + (1,) * (n - 1): -1})
+    assert_clean_product(a, random_character(rng, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_product_cancellation(n):
+    """(1 - m)(1 + m + ... + m^k) = 1 - m^(k+1): every middle term cancels,
+    and none survives as a zero coefficient."""
+    rng = random.Random(200 + n)
+    for k in range(6):
+        exp = [rng.randint(-3, 3) for _ in range(n)]
+        if not any(exp):
+            exp[0] = 1
+        m = Character.monomial(exp)
+        geometric = Character.zero(n)
+        for j in range(k + 1):
+            geometric = geometric + Character.monomial([j * a for a in exp])
+        prod = assert_clean_product(Character.one(n) - m, geometric)
+        assert prod == Character.one(n) - Character.monomial([(k + 1) * a for a in exp])
+        # a difference of random characters whose product cancels in part
+        a = random_character(rng, n)
+        assert_clean_product(a - m, a + m)
+
+
+def test_packed_product_coerces_index_entries():
+    """Exponent entries are read with operator.index, so an integer-like
+    entry (a numpy integer, say) comes out as a plain int and cannot
+    overflow a fixed-width sum."""
+
+    class Index:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+        def __hash__(self):
+            return hash(self.v)
+
+        def __eq__(self, other):
+            return isinstance(other, Index) and self.v == other.v
+
+    big = 2 ** 63 - 1
+    a = Character(2, {(Index(big), Index(-1)): 2, (Index(0), Index(3)): 1})
+    plain = Character(2, {(big, -1): 2, (0, 3): 1})
+    prod = a * a
+    assert prod == plain * plain == naive_product(plain, plain)
+    assert prod.coeff((2 * big, -2)) == 4
+    assert all(type(x) is int for exp in prod.support() for x in exp)
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         X_PLUS_Y + Character.one(3)

@@ -283,16 +283,20 @@ def test_suite_crash_mid_sweep_names_the_instance(monkeypatch):
     (checks, "frobenius_twist", None,
      "FAIL  character-ring                    26 instances\n"
      "      suite crashed after 26 instances at (Weight(2, 1), Weight(2, 1))"),
+    # its simple-basis peeling names the product's two weights and their (l, p)
+    (gl2, "simple_character", Weight((1, 0)),
+     "FAIL  character-ring                   152 instances\n"
+     "      suite crashed after 152 instances at (Weight(0, 0), Weight(1, 0)) l=1,p=2"),
     # sympow-recursion takes (l, p), so its weight (r, 0) comes with them
     (gl2, "sympow_character_recursive", 2,
      "FAIL  sympow-recursion                   3 instances\n"
      "      suite crashed after 3 instances at Weight(2, 0) l=1,p=2"),
 ], ids=["schur-agreement", "dominance-order", "character-ring-pool",
-        "character-ring-small-pool", "sympow-recursion"])
+        "character-ring-small-pool", "character-ring-peeling", "sympow-recursion"])
 def test_rank_generic_suite_crash_names_the_weight(monkeypatch, module, attr, bad, expected):
     """A crash names the instance under test: the weight alone in a suite
-    that takes no (l, p), the pair in a random pool.  ``bad`` None fails
-    every call."""
+    that takes no (l, p), the pair in a random pool, the pair and its
+    (l, p) in a product that is peeled.  ``bad`` None fails every call."""
     original = getattr(module, attr)
 
     def fails(first, *rest):

@@ -1,7 +1,12 @@
+import functools
+
 import pytest
 
 from polyinj.characters import Character
 from polyinj.schur import (
+    _h_character,
+    _h_product,
+    _schur_ssyt,
     compositions,
     h_character,
     partitions,
@@ -47,6 +52,24 @@ def test_jacobi_trudi_examples():
     assert schur_character_jt(Weight((2, 2))) == Character.monomial((2, 2))
     for r in range(7):
         assert schur_character_jt(Weight((r, 0))) == h_character(r, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_h_product_is_the_left_to_right_product(n):
+    """The prefix-shared memo gives h_{d_1} * ... * h_{d_k} for every sorted
+    tuple of positive degrees of total at most 10."""
+    for r in range(11):
+        for lam in partitions(r, max(r, 1)):
+            degrees = tuple(sorted(a for a in lam if a))
+            expected = functools.reduce(
+                lambda acc, d: acc * _h_character(d, n), degrees, Character.one(n))
+            assert _h_product(degrees, n) == expected
+
+
+def test_jacobi_trudi_is_tableaux_at_rank_5():
+    for r in range(8):
+        for lam in partitions(r, 5):
+            assert schur_character_jt(lam) == _schur_ssyt(lam)
 
 
 def test_schur_routes_agree_small():
