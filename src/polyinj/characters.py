@@ -11,8 +11,8 @@ A product of two characters packs each exponent vector into one Python int
 in a base wide enough that sums never carry), so a monomial product is one
 integer addition.  Packing changes only the speed: the term map, the exact
 arithmetic and the dict of tuples stay, and this monomial ring remains the
-oracle that any denser representation (a 1-D coefficient vector at rank 2,
-say) is checked against.
+oracle that a character stored another way (in the Weyl basis, keyed by
+dominant weight, say) is checked against.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def test_packed_product_matches_naive_loop(n):
     for _ in range(60):
         a, b = random_character(rng, n), random_character(rng, n)
         assert_clean_product(a, b)
-        assert_clean_product(a, zero) == zero == assert_clean_product(zero, b)
+        assert assert_clean_product(a, zero) == zero == assert_clean_product(zero, b)
         assert assert_clean_product(a, one) == a
         m = Character.monomial([rng.randint(-9, 9) for _ in range(n)], rng.choice((-2, 1, 5)))
         assert_clean_product(m, a)
