@@ -17,7 +17,8 @@ dominant weight, say) is checked against.
 
 from __future__ import annotations
 
-from operator import index
+from heapq import heapify, heappop, heappush
+from operator import index, neg
 
 from .weights import Weight
 
@@ -27,7 +28,12 @@ class PeelError(ValueError):
 
 
 def _is_dominant_exp(exp):
-    return all(exp[i] >= exp[i + 1] for i in range(len(exp) - 1))
+    prev = exp[0]
+    for a in exp:
+        if a > prev:
+            return False
+        prev = a
+    return True
 
 
 class Character:
@@ -41,7 +47,12 @@ class Character:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exp, mult in items:
-                exp = tuple(exp)
+                # entries coerced as Weight's are: a numpy integer becomes
+                # an exact int, and a non-integral entry is a ValueError
+                try:
+                    exp = tuple(map(index, exp))
+                except TypeError:
+                    raise ValueError("exponent %r has a non-integer entry" % (exp,)) from None
                 if len(exp) != n:
                     raise ValueError("exponent %r has wrong length for n=%d" % (exp, n))
                 m = clean.get(exp, 0) + mult
@@ -258,23 +269,47 @@ def peel_into_basis(chi, basis):
     ``basis(lam)`` must return, for each dominant weight, a character whose
     unique lex-maximal exponent is ``lam`` with multiplicity one (true for
     Schur characters and for simple characters).  ``chi`` must have
-    permutation-symmetric support.  Repeatedly locates the lex-maximal
-    dominant exponent of the remainder and subtracts; raises
-    :class:`PeelError` if a step would need a negative multiplicity.
+    permutation-symmetric support.
+
+    One downward pass: the remainder is a dict, and a max-heap holds its
+    dominant exponents.  The pivot is the lex-maximal dominant exponent
+    left; ``mult * basis(pivot)`` is subtracted from the dict in place,
+    which touches only exponents at or below the pivot, and an exponent
+    that a subtraction leaves nonzero where there was none is pushed.  An
+    entry whose exponent has since cancelled is skipped when popped.  The
+    result maps each pivot to its multiplicity, in pivot order.  Raises
+    :class:`PeelError` when the remainder has no dominant exponent, when a
+    pivot's multiplicity is negative, and when a basis element leaves its
+    pivot behind (a leading multiplicity other than one).
     """
-    remainder = chi
+    remainder = dict(chi.items())
+    heap = [tuple(map(neg, exp)) for exp in remainder if _is_dominant_exp(exp)]
+    heapify(heap)  # negated entries: the lex-smallest key is the lex-largest exponent
     out = {}
     while remainder:
-        pivot = max((exp for exp in remainder.support() if _is_dominant_exp(exp)), default=None)
-        if pivot is None:
-            raise PeelError("remainder %s has no dominant exponent" % remainder)
-        mult = remainder.coeff(pivot)
+        while heap:
+            pivot = tuple(map(neg, heappop(heap)))
+            if pivot in remainder:
+                break
+        else:
+            raise PeelError("remainder %s has no dominant exponent"
+                            % Character._from_clean(chi.n, remainder))
+        mult = remainder[pivot]
         if mult < 0:
             raise PeelError(
                 "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, mult)
             )
-        remainder = remainder - mult * basis(Weight(pivot))
-        if remainder.coeff(pivot):
+        element = basis(Weight(pivot))
+        chi._same_rank(element)
+        for exp, m in element.items():
+            s = remainder.get(exp, 0) - mult * m
+            if s:
+                if exp not in remainder and _is_dominant_exp(exp):
+                    heappush(heap, tuple(map(neg, exp)))
+                remainder[exp] = s
+            elif exp in remainder:
+                del remainder[exp]
+        if pivot in remainder:
             raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
         out[Weight(pivot)] = mult
     return out

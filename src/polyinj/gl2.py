@@ -58,7 +58,7 @@ from typing import Optional
 
 from .characters import Character, PeelError
 from .injectivity import injectivity_criterion
-from .weights import GroupParams, Weight, _int_weight, digit_expansion, eadic_split, omega
+from .weights import GroupParams, Weight, _int_weight, _split, digit_expansion, omega
 
 
 class OracleMismatch(Exception):
@@ -70,6 +70,13 @@ TOP_DIGIT_SMALL = "top_digit_small"
 
 
 def _check_weight(lam):
+    """``lam`` as a rank-2 dominant polynomial :class:`Weight`, or a
+    ValueError.  A Weight (a, b) with a >= b >= 0 is returned at once, as
+    it is; anything else is coerced and checked entry by entry."""
+    if type(lam) is Weight and len(lam) == 2:
+        a, b = lam
+        if a >= b >= 0:
+            return lam
     lam = Weight(lam)
     if lam.n != 2:
         raise ValueError("rank-2 routine got a rank-%d weight" % lam.n)
@@ -290,7 +297,7 @@ def _divind_by_layers(lam, params):
     peel one digit, recurse on the quotient weight at the classical layer."""
     if lam == (0, 0):
         return 0
-    lam0, lbar = eadic_split(lam, params.e)
+    lam0, lbar = _split(lam, params.e)
     if params.p == 0:
         bar_div = lbar[1]
     else:
@@ -376,7 +383,7 @@ def is_inf_injective_inequality(lam, params):
     with the quotient layer's divisibility index computed by the character
     ORACLE (not the closed form): lam0_1 + e * divind >= e - 1."""
     lam = _check_weight(lam)
-    lam0, lbar = eadic_split(lam, params.e)
+    lam0, lbar = _split(lam, params.e)
     if params.p == 0:
         bar_div = lbar[1]
     else:
@@ -425,7 +432,7 @@ def _standard_form(lam, params, m):
     divisibility index is m."""
     e = params.e
     m0, mbar = m % e, m // e
-    lam0, lbar = eadic_split(lam, e)
+    lam0, lbar = _split(lam, e)
     w = omega(2)
     if lam0[0] >= e - 1:
         desc = FactorizationDescriptor(lam0 - m0 * w, m, lbar - mbar * w, TOP_DIGIT_LARGE)

@@ -81,7 +81,7 @@ def schur_character(lam):
     lam = _check_partition(lam)
     if lam.n == 2:
         a, b = lam
-        return Character(2, {(a + b - k, k): 1 for k in range(b, a + 1)})
+        return Character._from_clean(2, {(a + b - k, k): 1 for k in range(b, a + 1)})
     return _schur_ssyt(lam)
 
 

@@ -14,7 +14,7 @@ e-regular, and iterating on lbar gives the mixed-base digit expansion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -39,10 +39,18 @@ class Weight(tuple):
         return sum(self)
 
     def is_dominant(self):
-        return all(self[i] >= self[i + 1] for i in range(len(self) - 1))
+        prev = self[0]
+        for a in self:
+            if a > prev:
+                return False
+            prev = a
+        return True
 
     def is_polynomial(self):
-        return all(a >= 0 for a in self)
+        for a in self:
+            if a < 0:
+                return False
+        return True
 
     def reversed(self):
         """Entry reversal (the longest-Weyl-element action)."""
@@ -108,8 +116,12 @@ def is_column_regular(lam, e):
     lam = Weight(lam)
     if e < 1:
         raise ValueError("base must be a positive integer")
-    diffs = [lam[i] - lam[i + 1] for i in range(len(lam) - 1)] + [lam[-1]]
-    return all(0 <= d < e for d in diffs)
+    prev = 0
+    for a in reversed(lam):
+        if not 0 <= a - prev < e:
+            return False
+        prev = a
+    return True
 
 
 def eadic_split(lam, e):
@@ -124,13 +136,25 @@ def eadic_split(lam, e):
     e = operator.index(e)
     if e < 1:
         raise ValueError("base must be a positive integer")
+    return _split(lam, e)
+
+
+def _split(lam, e):
+    """:func:`eadic_split` of a Weight by an int base e >= 1, unchecked.
+
+    One pass from the last entry upward; ``divmod`` gives each digit's
+    offset in its window and the matching quotient entry together."""
     digits = []
+    quotient = []
     prev = 0  # plays the role of lam0_{n+1}, pinning the last entry to [0, e)
     for a in reversed(lam):
-        prev += (a - prev) % e
+        q, r = divmod(a - prev, e)
+        prev += r
         digits.append(prev)
+        quotient.append(q)
     digits.reverse()
-    return _int_weight(digits), _int_weight([(a - b) // e for a, b in zip(lam, digits)])
+    quotient.reverse()
+    return _int_weight(digits), _int_weight(quotient)
 
 
 def dominance_leq(lam, mu):
@@ -193,18 +217,24 @@ class GroupParams:
 
     l: int
     p: int
+    e: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.l < 1:
+        # stored as plain ints, so a numpy-int l or p cannot carry
+        # fixed-width arithmetic into the digit splits
+        try:
+            l, p = operator.index(self.l), operator.index(self.p)
+        except TypeError:
+            raise ValueError("l and p must be integers, got %r and %r" % (self.l, self.p)) from None
+        if l < 1:
             raise ValueError("l must be a positive integer")
-        if self.p != 0 and not _is_prime(self.p):
-            raise ValueError("p must be 0 or a prime, got %r" % (self.p,))
-        if self.l == 1 and self.p == 0:
+        if p != 0 and not _is_prime(p):
+            raise ValueError("p must be 0 or a prime, got %r" % (p,))
+        if l == 1 and p == 0:
             raise ValueError("l=1 with p=0 is the semisimple case; nothing to do")
-
-    @property
-    def e(self):
-        return self.l if self.l >= 2 else self.p
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", l if l >= 2 else p)
 
     def classical(self):
         """Parameters of the classical layer sitting under the Frobenius twist."""
@@ -242,9 +272,12 @@ class DigitExpansion:
         (lam0, e, 1), then (d_i, p, e*p^i).  In characteristic zero the
         unrefined quotient follows as (lbar, 0, e), base 0 marking it."""
         e, p = self.params.e, self.params.p
-        return ((self.quantum_digit, e, 1),) + tuple(
-            (d, p, e * p ** i) for i, d in enumerate(self.classical_digits)
-        )
+        out = [(self.quantum_digit, e, 1)]
+        scale = e
+        for d in self.classical_digits:
+            out.append((d, p, scale))
+            scale *= p
+        return tuple(out)
 
     def reconstruct(self):
         """The weight sum(scale * digit) over :meth:`layers`, in exact ints."""
@@ -259,13 +292,14 @@ def digit_expansion(lam, params):
     lam = Weight(lam)
     if not (lam.is_dominant() and lam.is_polynomial()):
         raise ValueError("digit expansion needs a polynomial dominant weight, got %r" % (lam,))
-    lam0, lbar = eadic_split(lam, params.e)
-    if params.p == 0:
+    lam0, lbar = _split(lam, params.e)
+    p = params.p
+    if p == 0:
         digits = (lbar,)
     else:
         digits = []
         while any(lbar):
-            d, lbar = eadic_split(lbar, params.p)
+            d, lbar = _split(lbar, p)
             digits.append(d)
         digits = tuple(digits)
     return DigitExpansion(lam0, digits, params)

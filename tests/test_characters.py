@@ -145,6 +145,20 @@ def test_packed_product_coerces_index_entries():
     assert all(type(x) is int for exp in prod.support() for x in exp)
 
 
+def test_exponent_entries_are_plain_ints():
+    """Exponent entries are read with operator.index on the way in, so a
+    numpy integer becomes an exact int and twisting cannot overflow."""
+    np = pytest.importorskip("numpy")
+    chi = Character(1, {(np.int64(2 ** 62),): 1}).twist(4)
+    assert list(chi.items()) == [((2 ** 64,), 1)]
+    chi = Character(2, {(np.int64(3), np.int32(-1)): 2, (np.uint8(0), 5): 1})
+    assert chi == Character(2, {(3, -1): 2, (0, 5): 1})
+    assert all(type(a) is int for exp in chi.support() for a in exp)
+    assert all(type(a) is int for exp in (chi + chi.twist(2)).support() for a in exp)
+    with pytest.raises(ValueError, match="non-integer"):
+        Character(2, {(1.0, 0): 1})
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         X_PLUS_Y + Character.one(3)
@@ -250,6 +264,118 @@ def test_peel_detects_illegitimate_input():
     # no dominant exponent at all
     with pytest.raises(PeelError):
         peel_into_basis(mono(0, 1), schur_character)
+
+
+def naive_peel(chi, basis):
+    """The earlier peeling, as a reference: the whole remainder is scanned
+    for each pivot and every step builds new characters."""
+    remainder = chi
+    out = {}
+    while remainder:
+        pivot = max(
+            (exp for exp in remainder.support() if all(exp[i] >= exp[i + 1] for i in range(len(exp) - 1))),
+            default=None,
+        )
+        if pivot is None:
+            raise PeelError("remainder %s has no dominant exponent" % remainder)
+        mult = remainder.coeff(pivot)
+        if mult < 0:
+            raise PeelError(
+                "pivot %r carries multiplicity %d; not expressible in this basis" % (pivot, mult)
+            )
+        remainder = remainder - mult * basis(Weight(pivot))
+        if remainder.coeff(pivot):
+            raise PeelError("basis element at %r lacks leading multiplicity one" % (pivot,))
+        out[Weight(pivot)] = mult
+    return out
+
+
+def peel_outcome(peel, chi, basis):
+    """The pivots and multiplicities in order, or the PeelError message."""
+    try:
+        return list(peel(chi, basis).items())
+    except PeelError as exc:
+        return "PeelError: %s" % exc
+
+
+def simple_basis(params):
+    return lambda w: simple_character(w, params)
+
+
+PEEL_BASES = [pytest.param(n, schur_character, id="schur-rank%d" % n) for n in (2, 3, 4)] + [
+    pytest.param(2, simple_basis(GroupParams(l, p)), id="simple-l%d-p%d" % (l, p))
+    for l, p in ((1, 2), (1, 3), (2, 3), (3, 0))
+]
+
+
+@pytest.mark.parametrize("n, basis", PEEL_BASES)
+def test_peel_matches_naive_on_nonnegative_combinations(n, basis):
+    rng = random.Random(18 + n)
+    pool = [lam for r in range(9 if n == 2 else 6) for lam in partitions(r, n)]
+    for _ in range(25):
+        chi = Character.zero(n)
+        for lam in rng.sample(pool, rng.randint(1, 5)):
+            chi = chi + rng.randint(1, 3) * basis(lam) * schur_character(rng.choice(pool[:4]))
+        expected = naive_peel(chi, basis)
+        assert list(peel_into_basis(chi, basis).items()) == list(expected.items())
+        reassembled = Character.zero(n)
+        for lam, m in expected.items():
+            reassembled = reassembled + m * basis(lam)
+        assert reassembled == chi
+
+
+@pytest.mark.parametrize("n, basis", PEEL_BASES)
+def test_peel_matches_naive_on_signed_combinations(n, basis):
+    """Signed combinations, with stray monomials, succeed or fail as the
+    reference does: the same pivots, or the same PeelError message."""
+    rng = random.Random(180 + n)
+    pool = [lam for r in range(7 if n == 2 else 5) for lam in partitions(r, n)]
+    failures = 0
+    for _ in range(40):
+        chi = Character.zero(n)
+        for lam in rng.sample(pool, rng.randint(1, 4)):
+            chi = chi + rng.choice((-2, -1, 1, 1, 2)) * basis(lam)
+        if rng.random() < 0.3:
+            chi = chi + Character.monomial([rng.randint(0, 3) for _ in range(n)], rng.choice((-1, 1)))
+        outcome = peel_outcome(peel_into_basis, chi, basis)
+        assert outcome == peel_outcome(naive_peel, chi, basis)
+        failures += isinstance(outcome, str)
+    assert 0 < failures < 40
+
+
+@pytest.mark.parametrize(
+    "chi, basis, message",
+    [
+        (mono(0, 1), schur_character, "remainder 1 * (0,1) has no dominant exponent"),
+        # the pivot (2, 0) peels off and leaves y alone
+        (schur_character(Weight((2, 0))) + mono(0, 1), schur_character,
+         "remainder 1 * (0,1) has no dominant exponent"),
+        # x^2 + y^2: peeling (2, 0) creates -xy, an exponent chi lacks
+        (Character(2, {(2, 0): 1, (0, 2): 1}), schur_character,
+         "pivot (1, 1) carries multiplicity -1; not expressible in this basis"),
+        (-schur_character(Weight((2, 1, 0))), schur_character,
+         "pivot (2, 1, 0) carries multiplicity -1; not expressible in this basis"),
+        (schur_character(Weight((3, 1))), lambda w: 2 * schur_character(w),
+         "basis element at (3, 1) lacks leading multiplicity one"),
+    ],
+)
+def test_peel_errors_match_naive(chi, basis, message):
+    assert peel_outcome(peel_into_basis, chi, basis) == "PeelError: " + message
+    assert peel_outcome(naive_peel, chi, basis) == "PeelError: " + message
+
+
+def test_peel_pivot_created_by_a_subtraction():
+    """A basis with negative entries can create a dominant exponent that
+    the input lacks; it must become a later pivot."""
+
+    def basis(w):
+        a, b = w
+        below = Weight((a - 1, b + 1))
+        return schur_character(w) - (2 * schur_character(below) if below.is_dominant() else Character.zero(2))
+
+    chi = Character(2, {(2, 0): 1, (0, 2): 1})
+    assert list(peel_into_basis(chi, basis).items()) == [(Weight((2, 0)), 1), (Weight((1, 1)), 1)]
+    assert peel_into_basis(chi, basis) == naive_peel(chi, basis)
 
 
 def test_factor_and_weight_divisibility_agree():

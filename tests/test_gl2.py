@@ -69,6 +69,35 @@ def test_simple_character_rejects_bad_weights():
         simple_character(W(1, 0, 0), P12)
 
 
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (W(1, 0, 0), "rank-2 routine got a rank-3 weight"),
+        (W(1, 2), "expected a dominant polynomial weight"),
+        (W(-1, -2), "expected a dominant polynomial weight"),
+        (W(0, -1), "expected a dominant polynomial weight"),
+        ((1, 2), "expected a dominant polynomial weight"),
+        ([-1, -2], "expected a dominant polynomial weight"),
+        ((1, 0.5), "not an integer"),
+    ],
+)
+def test_check_weight_rejects(lam, message):
+    with pytest.raises(ValueError, match=message):
+        gl2._check_weight(lam)
+
+
+def test_check_weight_accepts_and_coerces():
+    lam = W(5, 2)
+    assert gl2._check_weight(lam) is lam
+    for given in ([5, 2], (5, 2), (5, True + 1)):
+        got = gl2._check_weight(given)
+        assert type(got) is Weight and got == lam and all(type(a) is int for a in got)
+    np = pytest.importorskip("numpy")
+    got = gl2._check_weight((np.int64(5), np.int32(2)))
+    assert type(got) is Weight and got == lam and all(type(a) is int for a in got)
+    assert gl2._check_weight(np.array([5, 2])) == lam
+
+
 def test_sympow_examples():
     assert sympow_character_recursive(1, P12) == h_character(1, 2)
     # degree 2 at e=2 splits as L(2,0) + L(1,1)

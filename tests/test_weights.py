@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -252,3 +253,97 @@ def test_layers():
         for d, _, scale in exp.layers():
             acc = acc + scale * d
         assert exp.reconstruct() == acc == lam
+
+
+# Naive references: the earlier implementations of the digit kernels, which
+# coerced and checked their input on every call and built each layer's
+# scale as a power.  The kernels must agree with them entry for entry.
+
+
+def naive_split(lam, e):
+    lam = Weight(lam)
+    digits = []
+    prev = 0
+    for a in reversed(lam):
+        prev += (a - prev) % e
+        digits.append(prev)
+    digits.reverse()
+    return Weight(digits), Weight([(a - b) // e for a, b in zip(lam, digits)])
+
+
+def naive_column_regular(lam, e):
+    lam = Weight(lam)
+    diffs = [lam[i] - lam[i + 1] for i in range(len(lam) - 1)] + [lam[-1]]
+    return all(0 <= d < e for d in diffs)
+
+
+def naive_digit_layers(lam, params):
+    lam0, lbar = naive_split(lam, params.e)
+    if params.p == 0:
+        digits = [lbar]
+    else:
+        digits = []
+        while any(lbar):
+            d, lbar = naive_split(lbar, params.p)
+            digits.append(d)
+    return [(lam0, params.e, 1)] + [
+        (d, params.p, params.e * params.p ** i) for i, d in enumerate(digits)
+    ]
+
+
+SPLIT_BASES = (2, 3, 7, 10007)
+SPLIT_PARAMS = [
+    GroupParams(l, p)
+    for l, p in ((1, 2), (1, 3), (1, 7), (1, 10007), (7, 2), (2, 3), (10007, 7), (3, 0), (10007, 0))
+]
+
+
+def random_weight(rng, n, bound, dominant=False):
+    """A rank-n weight, half the time with entries up to ``bound`` in size
+    and otherwise small (so that digits and carries of every size occur);
+    ``dominant`` draws a polynomial dominant one."""
+    top = bound if rng.random() < 0.5 else 40
+    if dominant:
+        return Weight(sorted((rng.randint(0, top) for _ in range(n)), reverse=True))
+    return Weight(rng.randint(-top, top) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_digit_kernels_match_naive_references(n):
+    rng = random.Random(1800 + n)
+    for _ in range(300):
+        e = rng.choice(SPLIT_BASES)
+        lam = random_weight(rng, n, 10 ** 30)
+        lam0, lbar = eadic_split(lam, e)
+        assert (lam0, lbar) == naive_split(lam, e)
+        assert all(type(a) is int for a in lam0 + lbar)
+        assert is_column_regular(lam0, e) and naive_column_regular(lam0, e)
+        for w in (lam, lam0, lbar, lam0 - omega(n)):
+            assert is_column_regular(w, e) == naive_column_regular(w, e)
+        assert lam.is_dominant() == all(lam[i] >= lam[i + 1] for i in range(n - 1))
+        assert lam.is_polynomial() == all(a >= 0 for a in lam)
+    for _ in range(100):
+        params = rng.choice(SPLIT_PARAMS)
+        lam = random_weight(rng, n, 10 ** 30, dominant=True)
+        exp = digit_expansion(lam, params)
+        assert list(exp.layers()) == naive_digit_layers(lam, params)
+        assert exp.reconstruct() == lam
+
+
+def test_rank_one_weights_are_dominant():
+    for a in (-(10 ** 30), -1, 0, 1, 10 ** 30):
+        assert Weight((a,)).is_dominant()
+        assert Weight((a,)).is_polynomial() == (a >= 0)
+
+
+def test_group_params_store_plain_ints():
+    np = pytest.importorskip("numpy")
+    params = GroupParams(np.int64(1), np.int64(2))
+    assert params == GroupParams(1, 2) and hash(params) == hash(GroupParams(1, 2))
+    assert all(type(v) is int for v in (params.l, params.p, params.e))
+    assert repr(params) == "GroupParams(l=1, p=2)"
+    lam = Weight((3 * 10 ** 30 + 5, 10 ** 30))
+    assert digit_expansion(lam, params) == digit_expansion(lam, GroupParams(1, 2))
+    assert digit_expansion(lam, params).layers() == tuple(naive_digit_layers(lam, GroupParams(1, 2)))
+    with pytest.raises(ValueError, match="integers"):
+        GroupParams(2.0, 3)
