@@ -17,8 +17,7 @@ dominant weight, say) is checked against.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from operator import index, neg
+from operator import index
 
 from .weights import Weight
 
@@ -27,13 +26,7 @@ class PeelError(ValueError):
     """A character is not a nonnegative combination of the given basis."""
 
 
-def _is_dominant_exp(exp):
-    prev = exp[0]
-    for a in exp:
-        if a > prev:
-            return False
-        prev = a
-    return True
+_is_dominant_exp = Weight.is_dominant  # reads only iteration and [0], so a plain tuple works
 
 
 class Character:
@@ -167,6 +160,10 @@ class Character:
 
     def twist(self, factor):
         """Scale every exponent vector entrywise by ``factor``."""
+        try:
+            factor = index(factor)
+        except TypeError:
+            raise ValueError("twist factor must be a positive integer") from None
         if factor < 1:
             raise ValueError("twist factor must be a positive integer")
         return Character._from_clean(
@@ -203,7 +200,7 @@ class Character:
 def _exponent_box(terms):
     """The exponent vectors of a term map as lists of ints, and their
     entrywise minimum and maximum."""
-    exps = [[index(a) for a in exp] for exp in terms]
+    exps = [list(exp) for exp in terms]
     cols = list(zip(*exps))
     return exps, [min(c) for c in cols], [max(c) for c in cols]
 
@@ -271,27 +268,20 @@ def peel_into_basis(chi, basis):
     Schur characters and for simple characters).  ``chi`` must have
     permutation-symmetric support.
 
-    One downward pass: the remainder is a dict, and a max-heap holds its
-    dominant exponents.  The pivot is the lex-maximal dominant exponent
-    left; ``mult * basis(pivot)`` is subtracted from the dict in place,
-    which touches only exponents at or below the pivot, and an exponent
-    that a subtraction leaves nonzero where there was none is pushed.  An
-    entry whose exponent has since cancelled is skipped when popped.  The
-    result maps each pivot to its multiplicity, in pivot order.  Raises
-    :class:`PeelError` when the remainder has no dominant exponent, when a
-    pivot's multiplicity is negative, and when a basis element leaves its
-    pivot behind (a leading multiplicity other than one).
+    One downward pass: the remainder is a dict, the pivot is its
+    lex-maximal dominant exponent, and ``mult * basis(pivot)`` is
+    subtracted from the dict in place, which touches only exponents at or
+    below the pivot.  The result maps each pivot to its multiplicity, in
+    pivot order.  Raises :class:`PeelError` when the remainder has no
+    dominant exponent, when a pivot's multiplicity is negative, and when a
+    basis element leaves its pivot behind (a leading multiplicity other
+    than one).
     """
     remainder = dict(chi.items())
-    heap = [tuple(map(neg, exp)) for exp in remainder if _is_dominant_exp(exp)]
-    heapify(heap)  # negated entries: the lex-smallest key is the lex-largest exponent
     out = {}
     while remainder:
-        while heap:
-            pivot = tuple(map(neg, heappop(heap)))
-            if pivot in remainder:
-                break
-        else:
+        pivot = max((exp for exp in remainder if _is_dominant_exp(exp)), default=None)
+        if pivot is None:
             raise PeelError("remainder %s has no dominant exponent"
                             % Character._from_clean(chi.n, remainder))
         mult = remainder[pivot]
@@ -304,8 +294,6 @@ def peel_into_basis(chi, basis):
         for exp, m in element.items():
             s = remainder.get(exp, 0) - mult * m
             if s:
-                if exp not in remainder and _is_dominant_exp(exp):
-                    heappush(heap, tuple(map(neg, exp)))
                 remainder[exp] = s
             elif exp in remainder:
                 del remainder[exp]

@@ -71,16 +71,13 @@ TOP_DIGIT_SMALL = "top_digit_small"
 
 def _check_weight(lam):
     """``lam`` as a rank-2 dominant polynomial :class:`Weight`, or a
-    ValueError.  A Weight (a, b) with a >= b >= 0 is returned at once, as
-    it is; anything else is coerced and checked entry by entry."""
-    if type(lam) is Weight and len(lam) == 2:
-        a, b = lam
-        if a >= b >= 0:
-            return lam
+    ValueError.  A Weight is returned as it is, with no copy, so the check
+    on a weight that is already a Weight is two comparisons."""
     lam = Weight(lam)
     if lam.n != 2:
         raise ValueError("rank-2 routine got a rank-%d weight" % lam.n)
-    if not (lam.is_dominant() and lam.is_polynomial()):
+    a, b = lam
+    if not a >= b >= 0:
         raise ValueError("expected a dominant polynomial weight, got %r" % (lam,))
     return lam
 

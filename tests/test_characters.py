@@ -23,6 +23,23 @@ def mono(*exp):
 X_PLUS_Y = Character(2, {(1, 0): 1, (0, 1): 1})
 
 
+class Index:
+    """An integer-like value that is not an int: it has ``__index__``, as
+    numpy integers do."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __eq__(self, other):
+        return isinstance(other, Index) and self.v == other.v
+
+
 def test_addition():
     assert X_PLUS_Y + X_PLUS_Y == Character(2, {(1, 0): 2, (0, 1): 2})
     assert X_PLUS_Y + Character.zero(2) == X_PLUS_Y
@@ -123,19 +140,6 @@ def test_packed_product_coerces_index_entries():
     entry (a numpy integer, say) comes out as a plain int and cannot
     overflow a fixed-width sum."""
 
-    class Index:
-        def __init__(self, v):
-            self.v = v
-
-        def __index__(self):
-            return self.v
-
-        def __hash__(self):
-            return hash(self.v)
-
-        def __eq__(self, other):
-            return isinstance(other, Index) and self.v == other.v
-
     big = 2 ** 63 - 1
     a = Character(2, {(Index(big), Index(-1)): 2, (Index(0), Index(3)): 1})
     plain = Character(2, {(big, -1): 2, (0, 3): 1})
@@ -146,17 +150,31 @@ def test_packed_product_coerces_index_entries():
 
 
 def test_exponent_entries_are_plain_ints():
-    """Exponent entries are read with operator.index on the way in, so a
-    numpy integer becomes an exact int and twisting cannot overflow."""
+    """Exponent entries are read with operator.index on the way in, so an
+    integer-like entry becomes an exact int that twists and sums keep."""
+    chi = Character(1, {(Index(2 ** 62),): 1}).twist(4)
+    assert list(chi.items()) == [((2 ** 64,), 1)]
+    assert type(next(iter(chi.support()))[0]) is int
+    chi = Character(2, {(Index(3), Index(-1)): 2, (Index(0), 5): 1})
+    assert chi == Character(2, {(3, -1): 2, (0, 5): 1})
+    assert all(type(a) is int for exp in chi.support() for a in exp)
+    assert all(type(a) is int for exp in (chi + chi.twist(Index(2))).support() for a in exp)
+    with pytest.raises(ValueError, match="non-integer"):
+        Character(2, {(1.0, 0): 1})
+    for factor in (0, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            chi.twist(factor)
+
+
+def test_numpy_exponent_twist_does_not_overflow():
+    """A numpy int64 exponent twisted past 2**63 is exact, with no
+    fixed-width overflow warning (an error under -W error)."""
     np = pytest.importorskip("numpy")
     chi = Character(1, {(np.int64(2 ** 62),): 1}).twist(4)
     assert list(chi.items()) == [((2 ** 64,), 1)]
     chi = Character(2, {(np.int64(3), np.int32(-1)): 2, (np.uint8(0), 5): 1})
     assert chi == Character(2, {(3, -1): 2, (0, 5): 1})
     assert all(type(a) is int for exp in chi.support() for a in exp)
-    assert all(type(a) is int for exp in (chi + chi.twist(2)).support() for a in exp)
-    with pytest.raises(ValueError, match="non-integer"):
-        Character(2, {(1.0, 0): 1})
 
 
 def test_rank_mismatch():
@@ -267,8 +285,9 @@ def test_peel_detects_illegitimate_input():
 
 
 def naive_peel(chi, basis):
-    """The earlier peeling, as a reference: the whole remainder is scanned
-    for each pivot and every step builds new characters."""
+    """The earlier peeling, as a reference: every step builds new
+    characters (a negation, a multiple and a sum) instead of subtracting
+    in place."""
     remainder = chi
     out = {}
     while remainder:

@@ -337,8 +337,14 @@ def test_rank_one_weights_are_dominant():
 
 
 def test_group_params_store_plain_ints():
-    np = pytest.importorskip("numpy")
-    params = GroupParams(np.int64(1), np.int64(2))
+    class Index:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    params = GroupParams(Index(1), Index(2))
     assert params == GroupParams(1, 2) and hash(params) == hash(GroupParams(1, 2))
     assert all(type(v) is int for v in (params.l, params.p, params.e))
     assert repr(params) == "GroupParams(l=1, p=2)"
@@ -347,3 +353,13 @@ def test_group_params_store_plain_ints():
     assert digit_expansion(lam, params).layers() == tuple(naive_digit_layers(lam, GroupParams(1, 2)))
     with pytest.raises(ValueError, match="integers"):
         GroupParams(2.0, 3)
+
+
+def test_group_params_read_numpy_ints():
+    """numpy integers are read as plain ints, so no fixed-width arithmetic
+    reaches the digit split."""
+    np = pytest.importorskip("numpy")
+    params = GroupParams(np.int64(1), np.int64(2))
+    assert all(type(v) is int for v in (params.l, params.p, params.e))
+    lam = Weight((3 * 10 ** 30 + 5, 10 ** 30))
+    assert digit_expansion(lam, params) == digit_expansion(lam, GroupParams(1, 2))
