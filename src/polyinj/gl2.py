@@ -304,6 +304,24 @@ def _divind_by_layers(lam, params):
     return lam0[0] - (params.e - 1) + params.e * bar_div
 
 
+# digit layers a cold _divind_by_layers call may recurse through, two stack
+# frames each; a weight of b bits has at most b + 1 layers
+_LAYER_CHUNK = 100
+
+
+def _memoize_quotients(lam, params):
+    """Run :func:`_divind_by_layers` on every ``_LAYER_CHUNK``-th quotient
+    weight of ``lam``, deepest first, so that no call, the next one on
+    ``lam`` included, recurses through more than ``_LAYER_CHUNK`` uncached
+    layers.  The quotients come from the same splits as the recursion's."""
+    chain = []
+    while lam != (0, 0) and params.p:
+        chain.append((lam, params))
+        lam, params = _split(lam, params.e)[1], params.classical()
+    for lam, params in chain[::-_LAYER_CHUNK]:
+        _divind_by_layers(lam, params)
+
+
 def _divind_formula(layers):
     """Closed form on the digit list.  m is the largest index carrying a
     non-critical digit; every digit above m is critical and contributes
@@ -331,6 +349,8 @@ def divind_injective_closed(lam, params):
 
 
 def _divind_closed(lam, params, layers):
+    if lam[0].bit_length() > _LAYER_CHUNK:
+        _memoize_quotients(lam, params)
     by_layers = _divind_by_layers(lam, params)
     by_formula = _divind_formula(layers)
     if by_layers != by_formula:

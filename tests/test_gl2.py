@@ -303,6 +303,19 @@ def test_divind(lam, params, expected):
     assert divind_injective_oracle(W(*lam), params) == expected
 
 
+@pytest.mark.parametrize("lam, params", [
+    (W(2 ** 700, 1), P12),
+    (W(3 * 7 ** 520 + 12345, 7 ** 300 + 9), GroupParams(5, 7)),
+])
+def test_layer_recursion_on_long_weights(lam, params):
+    """A cold layer recursion answers weights of several hundred digit
+    layers, each two stack frames deep, and agrees with the closed form."""
+    gl2._divind_by_layers.cache_clear()
+    layers = gl2._layers(lam, params)
+    assert len(layers) > 500
+    assert gl2._divind_closed(lam, params, layers) == gl2._divind_formula(layers)
+
+
 # ---------------------------------------------------------------------------
 # infinitesimal injectivity
 
