@@ -5,8 +5,10 @@ injective | sympow), ``divind``, ``classify``, ``table``, ``selfcheck``.
 Weights are passed as comma-separated integer lists (``--weight 5,2``),
 the arithmetic context as ``--l`` and ``--p`` (characteristic-zero quantum
 parameters are ``--p 0`` with ``--l`` at least 2).  Output formats: text
-(default), json, csv (tables only).  Each subcommand returns its whole
-stdout as a string and :func:`main` writes it.  Exit codes: 0 success,
+(default), json, csv (tables only).  A command builds one record, its
+(key, value, line) fields in text order, and :func:`render` writes it as
+JSON or text; a table's text and csv are columns of :func:`_row_fields`.
+:func:`main` writes what the command returns.  Exit codes: 0 success,
 1 usage error, 2 invariant or oracle disagreement.  Every subcommand is
 declared once in ``COMMANDS``.  :func:`parse_args` parses a line with the
 parser of the subcommand its first argument names alone, and a line
@@ -95,38 +97,54 @@ def _bool_str(v, blank=""):
 
 
 def _json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=lambda value: value.to_json_obj()) + "\n"
 
 
 def _lines(lines):
     return "\n".join(lines) + "\n"
 
 
-def _header(lam, params):
-    return ["weight: (%s)" % _weight_str(lam), "params: %s e=%d" % (params, params.e)]
+def _json_obj(record):
+    return {key: value for key, value, _ in record if key is not None}
+
+
+def render(record, fmt):
+    """Write ``record``, a list of (key, value, line) triples in text
+    order: as JSON, the object of every (key, value) with sorted keys (a
+    ``Weight`` is a tuple, so it comes out as a list); as text, every line.
+    A None key is text only and a None line JSON only.  A value JSON cannot
+    encode is written as its ``to_json_obj()`` and a line as its ``str()``,
+    so a character is converted for the format asked for only."""
+    if fmt == "json":
+        return _json(_json_obj(record))
+    return _lines([str(line) for _, _, line in record if line is not None])
+
+
+def _weight_params(lam, params):
+    """The weight and params fields that open a command's record."""
+    return [("weight", lam, "weight: (%s)" % _weight_str(lam)),
+            ("l", params.l, None),
+            ("p", params.p, None),
+            (None, None, "params: %s e=%d" % (params, params.e))]
 
 
 def classification_record(cls, gm_max=0):
-    """JSON record of a rank-2 classification with its Frobenius-kernel
+    """Record of a rank-2 classification with its Frobenius-kernel
     verdicts for m = 1..gm_max (None: undefined in characteristic 0)."""
     std = cls.standard_form
-    return {
-        "degree": cls.lam.degree(),
-        "weight": list(cls.lam),
-        "l": cls.params.l,
-        "p": cls.params.p,
-        "critical": cls.critical,
-        "divind": cls.divind,
-        "inf_injective": cls.inf_injective,
-        "gm_flags": list(cls.gm_flags(gm_max)),
-        "gm_injective_up_to": min(cls.kernel_depth, gm_max),
-        "standard_form": None if std is None else {
-            "q_weight": list(std.q_weight),
-            "det_power": std.det_power,
-            "bar_weight": list(std.bar_weight),
-            "branch": std.branch,
-        },
-    }
+    return [("degree", cls.lam.degree(), None)] + _weight_params(cls.lam, cls.params) + [
+        ("critical", cls.critical, "critical: %s" % _bool_str(cls.critical)),
+        ("divind", cls.divind, "divind: %d" % cls.divind),
+        ("inf_injective", cls.inf_injective, "inf_injective: %s" % _bool_str(cls.inf_injective)),
+        ("gm_flags", cls.gm_flags(gm_max), None),
+        ("gm_injective_up_to", min(cls.kernel_depth, gm_max), None),
+        (("standard_form", None, None) if std is None else
+         ("standard_form",
+          {"q_weight": std.q_weight, "det_power": std.det_power,
+           "bar_weight": std.bar_weight, "branch": std.branch},
+          "standard_form: %s [%s]" % (std.rendered(), std.branch))),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +167,7 @@ def _row_fields(cls, gm_max, blank):
 
 def render_table(rows, fmt, gm_max=0):
     if fmt == "json":
-        return _json([classification_record(cls, gm_max) for cls in rows])
+        return _json([_json_obj(classification_record(cls, gm_max)) for cls in rows])
     header = (["degree", "weight", "critical", "divind", "inf_injective"]
               + ["gm%d" % m for m in range(1, gm_max + 1)] + ["standard_form"])
     if fmt == "csv":
@@ -168,23 +186,17 @@ def cmd_expand(args):
     lam = parse_weight(args.weight)
     params = parse_params(args)
     exp = digit_expansion(lam, params)
-    if args.format == "json":
-        return _json({
-            "weight": list(lam),
-            "l": params.l,
-            "p": params.p,
-            "e": params.e,
-            "quantum_digit": list(exp.quantum_digit),
-            "classical_digits": [list(d) for d in exp.classical_digits],
-        })
-    lines = _header(lam, params) + [
-        "quantum digit (base %d): (%s)" % (params.e, _weight_str(exp.quantum_digit))]
     if params.p == 0:
-        lines.append("classical weight (unrefined): (%s)" % _weight_str(exp.classical_digits[0]))
+        digits = "classical weight (unrefined): (%s)" % _weight_str(exp.classical_digits[0])
     else:
-        digits = " ".join("(%s)" % _weight_str(d) for d in exp.classical_digits)
-        lines.append("classical digits (base %d): %s" % (params.p, digits or "none"))
-    return _lines(lines)
+        digits = "classical digits (base %d): %s" % (
+            params.p, " ".join("(%s)" % _weight_str(d) for d in exp.classical_digits) or "none")
+    return render(_weight_params(lam, params) + [
+        ("e", params.e, None),
+        ("quantum_digit", exp.quantum_digit,
+         "quantum digit (base %d): (%s)" % (params.e, _weight_str(exp.quantum_digit))),
+        ("classical_digits", exp.classical_digits, digits),
+    ], args.format)
 
 
 def cmd_char(args):
@@ -209,9 +221,8 @@ def cmd_char(args):
         if kind == "injective":
             _check_column_rows(lam)
         chi = (gl2.simple_character if kind == "simple" else gl2.injective_character)(lam, params)
-    if args.format == "json":
-        return _json({"kind": kind, "weight": list(lam), "character": chi.to_json_obj()})
-    return _lines([str(chi)])
+    return render([("kind", kind, None), ("weight", lam, None), ("character", chi, chi)],
+                  args.format)
 
 
 def cmd_divind(args):
@@ -222,15 +233,11 @@ def cmd_divind(args):
     if args.check:
         _check_column_rows(lam)
     divind = gl2.classify(lam, params, check=args.check).divind
-    if args.format == "json":
-        obj = {"weight": list(lam), "l": params.l, "p": params.p, "divind": divind}
-        if args.check:
-            obj["oracle"] = divind
-        return _json(obj)
-    lines = ["divind: %d" % divind]
+    record = [("weight", lam, None), ("l", params.l, None), ("p", params.p, None),
+              ("divind", divind, "divind: %d" % divind)]
     if args.check:
-        lines.append("oracle: %d (agrees)" % divind)
-    return _lines(lines)
+        record.append(("oracle", divind, "oracle: %d (agrees)" % divind))
+    return render(record, args.format)
 
 
 def cmd_classify(args):
@@ -240,37 +247,21 @@ def cmd_classify(args):
         if args.check:
             _check_column_rows(lam)
         cls = gl2.classify(lam, params, check=args.check)
-        if args.format == "json":
-            return _json(dict(classification_record(cls), oracle_checked=cls.oracle_checked))
-        lines = _header(lam, params) + [
-            "critical: %s" % _bool_str(cls.critical),
-            "divind: %d" % cls.divind,
-            "inf_injective: %s" % _bool_str(cls.inf_injective),
-        ]
-        if cls.standard_form is not None:
-            lines.append("standard_form: %s [%s]" % (cls.standard_form.rendered(), cls.standard_form.branch))
-        if cls.oracle_checked:
-            lines.append("oracle_checked: true")
-        return _lines(lines)
+        return render(classification_record(cls) + [
+            ("oracle_checked", cls.oracle_checked,
+             "oracle_checked: true" if cls.oracle_checked else None)], args.format)
     # other ranks: the criterion layer decides what it can
     if not (lam.is_dominant() and lam.is_polynomial()):
         raise UsageError("classification needs a dominant polynomial weight")
-    lam0, lbar = eadic_split(lam, params.e)
+    lam0, _ = eadic_split(lam, params.e)
     in_range = injectivity.steinberg_range(lam0, params.e)
-    if args.format == "json":
-        return _json({
-            "weight": list(lam),
-            "l": params.l,
-            "p": params.p,
-            "quantum_digit": list(lam0),
-            "steinberg_range": in_range,
-            "verdict": "inf_injective" if in_range else "conditional",
-        })
-    verdict = ("infinitesimally injective (Steinberg range)" if in_range
-               else "conditional (needs a quotient-layer divisibility-index oracle)")
-    return _lines(_header(lam, params) + ["quantum digit: (%s)" % _weight_str(lam0),
-                                          "steinberg_range: %s" % _bool_str(in_range),
-                                          "verdict: %s" % verdict])
+    return render(_weight_params(lam, params) + [
+        ("quantum_digit", lam0, "quantum digit: (%s)" % _weight_str(lam0)),
+        ("steinberg_range", in_range, "steinberg_range: %s" % _bool_str(in_range)),
+        ("verdict", "inf_injective" if in_range else "conditional",
+         "verdict: infinitesimally injective (Steinberg range)" if in_range
+         else "verdict: conditional (needs a quotient-layer divisibility-index oracle)"),
+    ], args.format)
 
 
 def cmd_table(args):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from polyinj import checks, gl2, weights
-from polyinj.cli import COMMANDS, main
+from polyinj.cli import COMMANDS, main, render
 from polyinj.weights import GroupParams, Weight
 
 
@@ -119,6 +119,23 @@ def test_classify_large_prime():
     rc, out = run(["classify", "--weight", "2,1", "--l", "1", "--p", str(2 ** 62 - 57)])
     assert rc == 0 and "divind: 1" in out
     assert time.perf_counter() - t0 < 2
+
+
+def test_classify_long_weight():
+    """A weight of 701 digit layers gets a closed-form verdict."""
+    rc, out = run(["classify", "--weight", "%d,1" % 2 ** 700, "--l", "1", "--p", "2"])
+    assert rc == 0 and "divind: 1" in out
+
+
+def test_render_contract():
+    """A None key is text only and a None line JSON only; JSON keys come
+    out sorted, a Weight and a tuple of Weights as (nested) lists."""
+    record = [("weight", Weight([2, 1]), "weight: (2,1)"), (None, None, "text only"),
+              ("digits", (Weight([1, 0]), Weight([0, 1])), None), ("a", 0, "a: 0")]
+    assert render(record, "text") == "weight: (2,1)\ntext only\na: 0\n"
+    out = render(record, "json")
+    assert list(json.loads(out)) == ["a", "digits", "weight"]
+    assert json.loads(out) == {"a": 0, "digits": [[1, 0], [0, 1]], "weight": [2, 1]}
 
 
 def test_classify_check_reach():
