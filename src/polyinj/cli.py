@@ -253,7 +253,7 @@ def cmd_classify(args):
     # other ranks: the criterion layer decides what it can
     if not (lam.is_dominant() and lam.is_polynomial()):
         raise UsageError("classification needs a dominant polynomial weight")
-    lam0, _ = eadic_split(lam, params.e)
+    lam0, lbar = eadic_split(lam, params.e)
     in_range = injectivity.steinberg_range(lam0, params.e)
     return render(_weight_params(lam, params) + [
         ("quantum_digit", lam0, "quantum digit: (%s)" % _weight_str(lam0)),
