@@ -1,9 +1,11 @@
 """Characters of induced modules and symmetric powers, any rank.
 
-Schur characters are computed two independent ways: by enumerating
-semistandard tableaux, and by the Jacobi-Trudi determinant in complete
-homogeneous characters.  At rank 2 :func:`schur_character` uses the
-closed form instead (s_(a,b) is the run of monomials x^(a+b-k) y^k for
+Schur characters are computed two independent ways: by counting
+semistandard tableaux as Gelfand-Tsetlin patterns, one rank at a time by
+the branching rule, and by the Jacobi-Trudi determinant in complete
+homogeneous characters, whose products add packed integer exponents.
+Neither route calls the other.  At rank 2 :func:`schur_character` uses
+the closed form instead (s_(a,b) is the run of monomials x^(a+b-k) y^k for
 b <= k <= a), and both routes stay as its oracles.  Pieri products of a
 Schur character with a complete homogeneous character and good-filtration
 multiplicities of tensor products of symmetric powers are built on top.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .characters import Character
+from .characters import Character, _pack, _unpack
 from .weights import Weight
 
 
@@ -87,8 +89,9 @@ def schur_character(lam):
 
 def tableau_count(lam):
     """Number of semistandard tableaux of shape ``lam`` with entries at most
-    ``lam.n`` (the work of :func:`_schur_ssyt`): the Weyl dimension formula,
-    prod over i < j of (lam_i - lam_j + j - i) / (j - i), in integers."""
+    ``lam.n`` (an upper bound on the terms of its Schur character): the
+    Weyl dimension formula, prod over i < j of (lam_i - lam_j + j - i) /
+    (j - i), in integers."""
     lam = _check_partition(lam)
     num = den = 1
     for i, j in itertools.combinations(range(lam.n), 2):
@@ -99,34 +102,31 @@ def tableau_count(lam):
 
 @lru_cache(maxsize=None)
 def _schur_ssyt(lam):
-    n = lam.n
-    shape = [a for a in lam if a]
-    if not shape:
-        return Character.one(n)
-    rows = len(shape)
-    terms = {}
-    content = [0] * n
-
-    def fill(i, j, row, above):
-        if j == shape[i]:
-            if i + 1 == rows:
-                key = tuple(content)
-                terms[key] = terms.get(key, 0) + 1
-            else:
-                fill(i + 1, 0, [], row)
-            return
-        lo = row[j - 1] if j else 1
-        if above is not None:
-            lo = max(lo, above[j] + 1)
-        for v in range(lo, n + 1):
-            content[v - 1] += 1
-            row.append(v)
-            fill(i, j + 1, row, above)
-            row.pop()
-            content[v - 1] -= 1
-
-    fill(0, 0, [], None)
-    return Character(n, terms)
+    """s_lam(x_1..x_n) by the branching rule.  In a semistandard tableau the
+    entries up to k fill a partition mu of at most k parts, and the entries
+    equal to k fill a horizontal strip mu/nu: mu and the shape nu of the
+    entries below k interlace (mu_i >= nu_i >= mu_(i+1)).  A tableau is thus
+    a Gelfand-Tsetlin pattern, a chain of interlacing rows from lam down to
+    the empty row.  The rows are walked down one rank at a time, each row
+    keeping the multiplicities of the exponents of x_(k+1)..x_n that lead
+    to it, so tableaux that meet on a row are counted together rather than
+    one by one."""
+    rows = {tuple(lam): {(): 1}}
+    for k in range(lam.n - 1, -1, -1):
+        below = {}
+        for mu, tails in rows.items():
+            size = sum(mu)
+            for nu in itertools.product(*[range(mu[i + 1], mu[i] + 1) for i in range(k)]):
+                step = (size - sum(nu),)
+                out = below.get(nu)
+                if out is None:
+                    out = below[nu] = {}
+                get = out.get
+                for tail, m in tails.items():
+                    key = step + tail
+                    out[key] = get(key, 0) + m
+        rows = below
+    return Character._from_clean(lam.n, rows[()])
 
 
 def _perm_sign(perm):
@@ -140,29 +140,47 @@ def _perm_sign(perm):
 
 
 @lru_cache(maxsize=None)
-def _h_product(degrees, n):
-    """h_{d_1} * ... * h_{d_k} for a sorted tuple of positive degrees, built
-    on the memoized product of its prefix, which tuples of a determinant
-    expansion often share."""
+def _h_product(degrees, n, base):
+    """h_{d_1} * ... * h_{d_k} for a sorted tuple of positive degrees, as a
+    map from exponents packed in ``base`` (by ``characters._pack``, with
+    no shift) to multiplicities, so a monomial product is one integer
+    addition; ``base`` must exceed the total degree of the product it is
+    used for.  Built on the memoized product of its prefix, which tuples of
+    a determinant expansion often share."""
     if not degrees:
-        return Character.one(n)
-    return _h_product(degrees[:-1], n) * _h_character(degrees[-1], n)
+        return {0: 1}
+    if len(degrees) == 1:
+        return dict.fromkeys(_pack(compositions(degrees[0], n), (0,) * n, base), 1)
+    factor = _h_product(degrees[-1:], n, base).items()
+    out = {}
+    get = out.get
+    for e1, m1 in _h_product(degrees[:-1], n, base).items():
+        for e2, m2 in factor:
+            key = e1 + e2
+            out[key] = get(key, 0) + m1 * m2
+    return out
 
 
 def schur_character_jt(lam):
     """Schur character via the Jacobi-Trudi determinant det(h_{lam_i - i + j}),
-    expanded over permutations.  Independent of the tableau route."""
+    expanded over permutations.  Independent of the tableau route.  Every
+    product in the expansion has degree |lam|, so one base packs them all,
+    and exponents are unpacked once per returned term.  The base is the
+    power of two above |lam|, which determinants of nearby degrees share."""
     lam = _check_partition(lam)
     n = lam.n
+    base = 1 << lam.degree().bit_length()
     total = {}
+    get = total.get
     for perm in itertools.permutations(range(n)):
         degs = [lam[i] - i + perm[i] for i in range(n)]
         if any(d < 0 for d in degs):
             continue
         sign = _perm_sign(perm)
-        for exp, m in _h_product(tuple(sorted(d for d in degs if d)), n).items():
-            total[exp] = total.get(exp, 0) + sign * m
-    return Character._from_clean(n, {exp: m for exp, m in total.items() if m})
+        for key, m in _h_product(tuple(sorted(d for d in degs if d)), n, base).items():
+            total[key] = get(key, 0) + sign * m
+    lo = (0,) * n
+    return Character._from_clean(n, {_unpack(key, lo, base): m for key, m in total.items() if m})
 
 
 def pieri_expand(lam, r):

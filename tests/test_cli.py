@@ -127,6 +127,15 @@ def test_classify_long_weight():
     assert rc == 0 and "divind: 1" in out
 
 
+def test_char_schur_near_the_term_budget():
+    """The Schur character of 7,5,2,2,2,2,2,0 (996,072 tableaux, just under
+    TERM_LIMIT) answers within the time the budget is meant to bound."""
+    t0 = time.perf_counter()
+    rc, out = run(["char", "schur", "--weight", "7,5,2,2,2,2,2,0"])
+    assert rc == 0 and "1 * (7,5,2,2,2,2,2,0)" in out
+    assert time.perf_counter() - t0 < 3
+
+
 def test_render_contract():
     """A None key is text only and a None line JSON only; JSON keys come
     out sorted, a Weight and a tuple of Weights as (nested) lists."""

@@ -56,20 +56,32 @@ def test_jacobi_trudi_examples():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_h_product_is_the_left_to_right_product(n):
-    """The prefix-shared memo gives h_{d_1} * ... * h_{d_k} for every sorted
-    tuple of positive degrees of total at most 10."""
+    """The prefix-shared memo, read back from its packed exponents, gives
+    h_{d_1} * ... * h_{d_k} for every sorted tuple of positive degrees of
+    total at most 10."""
+    base = 11  # exceeds every entry of a degree-10 exponent
     for r in range(11):
         for lam in partitions(r, max(r, 1)):
             degrees = tuple(sorted(a for a in lam if a))
             expected = functools.reduce(
                 lambda acc, d: acc * _h_character(d, n), degrees, Character.one(n))
-            assert _h_product(degrees, n) == expected
+            unpacked = Character(n, {tuple(key // base ** i % base for i in range(n)): m
+                                     for key, m in _h_product(degrees, n, base).items()})
+            assert unpacked == expected
 
 
 def test_jacobi_trudi_is_tableaux_at_rank_5():
     for r in range(8):
         for lam in partitions(r, 5):
             assert schur_character_jt(lam) == _schur_ssyt(lam)
+
+
+def test_tableaux_of_long_rows():
+    """Rows longer than a thousand cells, deeper than a recursion over the
+    cells could go: s_(a,a,a-1) is det^(a-1) times s_(1,1,0)."""
+    a = 1200
+    assert _schur_ssyt(Weight((a, a, a - 1))) == Character(
+        3, {(a, a, a - 1): 1, (a, a - 1, a): 1, (a - 1, a, a): 1})
 
 
 def test_schur_routes_agree_small():
