@@ -110,12 +110,19 @@ def _schur_ssyt(lam):
     the empty row.  The rows are walked down one rank at a time, each row
     keeping the multiplicities of the exponents of x_(k+1)..x_n that lead
     to it, so tableaux that meet on a row are counted together rather than
-    one by one."""
+    one by one.  Every row below an empty row is empty, so a pattern that
+    reaches one is finished there, with zeros for x_1..x_(k+1)."""
     rows = {tuple(lam): {(): 1}}
+    terms = {}
     for k in range(lam.n - 1, -1, -1):
         below = {}
         for mu, tails in rows.items():
             size = sum(mu)
+            if not size:
+                zeros = (0,) * (k + 1)
+                for tail, m in tails.items():
+                    terms[zeros + tail] = m
+                continue
             for nu in itertools.product(*[range(mu[i + 1], mu[i] + 1) for i in range(k)]):
                 step = (size - sum(nu),)
                 out = below.get(nu)
@@ -126,7 +133,8 @@ def _schur_ssyt(lam):
                     key = step + tail
                     out[key] = get(key, 0) + m
         rows = below
-    return Character._from_clean(lam.n, rows[()])
+    terms.update(rows.get((), ()))
+    return Character._from_clean(lam.n, terms)
 
 
 def _perm_sign(perm):

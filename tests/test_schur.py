@@ -76,12 +76,16 @@ def test_jacobi_trudi_is_tableaux_at_rank_5():
             assert schur_character_jt(lam) == _schur_ssyt(lam)
 
 
-def test_tableaux_of_long_rows():
+def test_tableaux_of_long_rows_and_high_rank():
     """Rows longer than a thousand cells, deeper than a recursion over the
-    cells could go: s_(a,a,a-1) is det^(a-1) times s_(1,1,0)."""
+    cells could go: s_(a,a,a-1) is det^(a-1) times s_(1,1,0).  And a
+    thousand variables: s_(1,0,...,0) is their sum."""
     a = 1200
     assert _schur_ssyt(Weight((a, a, a - 1))) == Character(
         3, {(a, a, a - 1): 1, (a, a - 1, a): 1, (a - 1, a, a): 1})
+    n = 1000
+    assert _schur_ssyt(Weight((1,) + (0,) * (n - 1))) == Character(
+        n, {(0,) * i + (1,) + (0,) * (n - 1 - i): 1 for i in range(n)})
 
 
 def test_schur_routes_agree_small():
