@@ -111,7 +111,8 @@ def _schur_ssyt(lam):
     keeping the multiplicities of the exponents of x_(k+1)..x_n that lead
     to it, so tableaux that meet on a row are counted together rather than
     one by one.  Every row below an empty row is empty, so a pattern that
-    reaches one is finished there, with zeros for x_1..x_(k+1)."""
+    reaches one is finished there: the variables of that rank and below
+    have exponent 0."""
     rows = {tuple(lam): {(): 1}}
     terms = {}
     for k in range(lam.n - 1, -1, -1):
@@ -133,7 +134,7 @@ def _schur_ssyt(lam):
                     key = step + tail
                     out[key] = get(key, 0) + m
         rows = below
-    terms.update(rows.get((), ()))
+    terms.update(rows.get((), {}))
     return Character._from_clean(lam.n, terms)
 
 
