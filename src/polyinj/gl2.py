@@ -42,9 +42,10 @@ answers.
 
 The closed forms read one digit list, ``digit_expansion(lam).layers()``.
 A verdict expands the digits once: ``classify`` builds the list, passes
-it to the divisibility formula, the criticality test, the Frobenius-kernel
-depth (which every kernel test reads) and the standard form, and returns
-one :class:`Classification`.  The public closed forms, called alone, each
+it to the divisibility layer recursion (a fold from the top digit down)
+and formula, the criticality test, the Frobenius-kernel depth (which
+every kernel test reads) and the standard form, and returns one
+:class:`Classification`.  The public closed forms, called alone, each
 build the list themselves.
 """
 
@@ -288,38 +289,17 @@ def is_critical_oracle(lam, params):
 # divisibility index
 
 
-@lru_cache(maxsize=None)
-def _divind_by_layers(lam, params):
-    """Layer recursion for the divisibility index of the injective envelope:
-    peel one digit, recurse on the quotient weight at the classical layer."""
-    if lam == (0, 0):
-        return 0
-    lam0, lbar = _split(lam, params.e)
-    if params.p == 0:
-        bar_div = lbar[1]
-    else:
-        bar_div = _divind_by_layers(lbar, params.classical())
-    if lam0[0] < params.e - 1 and bar_div == 0:
-        return lam0[1]
-    return lam0[0] - (params.e - 1) + params.e * bar_div
-
-
-# digit layers a cold _divind_by_layers call may recurse through, two stack
-# frames each; a weight of b bits has at most b + 1 layers
-_LAYER_CHUNK = 100
-
-
-def _memoize_quotients(lam, params):
-    """Run :func:`_divind_by_layers` on every ``_LAYER_CHUNK``-th quotient
-    weight of ``lam``, deepest first, so that no call, the next one on
-    ``lam`` included, recurses through more than ``_LAYER_CHUNK`` uncached
-    layers.  The quotients come from the same splits as the recursion's."""
-    chain = []
-    while lam != (0, 0) and params.p:
-        chain.append((lam, params))
-        lam, params = _split(lam, params.e)[1], params.classical()
-    for lam, params in chain[::-_LAYER_CHUNK]:
-        _divind_by_layers(lam, params)
+def _divind_by_layers(layers):
+    """Layer recursion for the divisibility index of the injective envelope,
+    folded over the digit list from the top digit down: ``div`` is the index
+    of the quotient weight that the digits above the current one spell."""
+    div = 0
+    for d, base, _ in reversed(layers):
+        if base == 0 or (d[0] < base - 1 and div == 0):
+            div = d[1]
+        else:
+            div = d[0] - (base - 1) + base * div
+    return div
 
 
 def _divind_formula(layers):
@@ -342,16 +322,15 @@ def _divind_formula(layers):
 
 def divind_injective_closed(lam, params):
     """Divisibility index of the injective envelope of highest weight ``lam``,
-    evaluated by both the layer recursion and the digit closed form; the two
-    must agree or :class:`OracleMismatch` is raised."""
+    evaluated on one digit list by both the layer recursion, folded over the
+    digits, and the digit closed form; the two must agree or
+    :class:`OracleMismatch` is raised."""
     lam = _check_weight(lam)
     return _divind_closed(lam, params, _layers(lam, params))
 
 
 def _divind_closed(lam, params, layers):
-    if lam[0].bit_length() > _LAYER_CHUNK:
-        _memoize_quotients(lam, params)
-    by_layers = _divind_by_layers(lam, params)
+    by_layers = _divind_by_layers(layers)
     by_formula = _divind_formula(layers)
     if by_layers != by_formula:
         raise OracleMismatch(

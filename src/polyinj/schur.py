@@ -14,6 +14,7 @@ multiplicities of tensor products of symmetric powers are built on top.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .characters import Character, _pack, _unpack
@@ -91,13 +92,17 @@ def tableau_count(lam):
     """Number of semistandard tableaux of shape ``lam`` with entries at most
     ``lam.n`` (an upper bound on the terms of its Schur character): the
     Weyl dimension formula, prod over i < j of (lam_i - lam_j + j - i) /
-    (j - i), in integers."""
+    (j - i), in integers.  The factors of each j are divided out by j! as
+    soon as they are in, so every partial count is the dimension of the
+    rank-(j+1) module of highest weight lam_1..lam_(j+1), an integer no
+    larger than the answer."""
     lam = _check_partition(lam)
-    num = den = 1
-    for i, j in itertools.combinations(range(lam.n), 2):
-        num *= lam[i] - lam[j] + j - i
-        den *= j - i
-    return num // den
+    count = 1
+    for j in range(1, lam.n):
+        for i in range(j):
+            count *= lam[i] - lam[j] + j - i
+        count //= math.factorial(j)
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -136,6 +136,15 @@ def test_char_schur_near_the_term_budget():
     assert time.perf_counter() - t0 < 3
 
 
+def test_char_schur_at_rank_1000():
+    """The budget check of a rank-1000 weight stays small: (1,0,...,0) has
+    1,000 tableaux, and its character answers within seconds."""
+    t0 = time.perf_counter()
+    rc, out = run(["char", "schur", "--weight", "1" + ",0" * 999])
+    assert rc == 0 and out.count(" * (") == 1000
+    assert time.perf_counter() - t0 < 3
+
+
 def test_render_contract():
     """A None key is text only and a None line JSON only; JSON keys come
     out sorted, a Weight and a tuple of Weights as (nested) lists."""

@@ -1,3 +1,5 @@
+import random
+import sys
 import time
 
 import pytest
@@ -308,12 +310,59 @@ def test_divind(lam, params, expected):
     (W(3 * 7 ** 520 + 12345, 7 ** 300 + 9), GroupParams(5, 7)),
 ])
 def test_layer_recursion_on_long_weights(lam, params):
-    """A cold layer recursion answers weights of several hundred digit
-    layers, each two stack frames deep, and agrees with the closed form."""
-    gl2._divind_by_layers.cache_clear()
+    """The layer recursion answers weights of several hundred digit layers
+    and agrees with the closed form."""
     layers = gl2._layers(lam, params)
     assert len(layers) > 500
     assert gl2._divind_closed(lam, params, layers) == gl2._divind_formula(layers)
+
+
+def naive_split(lam, e):
+    """lam = lam0 + e*lbar for a rank-2 weight, lam0 column e-regular, read
+    off entry by entry with ``%``."""
+    b0 = lam[1] % e
+    a0 = b0 + (lam[0] - b0) % e
+    return (a0, b0), ((lam[0] - a0) // e, (lam[1] - b0) // e)
+
+
+def quotient_walk_divind(lam, params):
+    """The layer recursion on the weight itself: peel one digit with
+    :func:`naive_split`, recurse on the quotient at the classical layer.
+    It splits the weight again rather than read the digit list that the
+    fold and the closed form share."""
+    if lam == (0, 0):
+        return 0
+    lam0, lbar = naive_split(lam, params.e)
+    if params.p == 0:
+        bar_div = lbar[1]
+    else:
+        bar_div = quotient_walk_divind(lbar, params.classical())
+    if lam0[0] < params.e - 1 and bar_div == 0:
+        return lam0[1]
+    return lam0[0] - (params.e - 1) + params.e * bar_div
+
+
+def test_layer_fold_matches_quotient_walk():
+    """The fold over the digit list, the closed form and the quotient walk
+    agree on seeded weights of degree up to 1e15 at every wide-grid pair
+    and on the long weights, whose walk is one frame per digit layer."""
+    rng = random.Random(23)
+    cases = [(W(2 ** 700, 1), P12), (W(3 * 7 ** 520 + 12345, 7 ** 300 + 9), GroupParams(5, 7))]
+    for params in WIDE_GRID:
+        for _ in range(300):
+            r = int(10 ** rng.uniform(0, 15))
+            b = rng.randint(0, r // 2)
+            cases.append((W(r - b, b), params))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        for lam, params in cases:
+            layers = gl2._layers(lam, params)
+            div = quotient_walk_divind(lam, params)
+            assert gl2._divind_by_layers(layers) == gl2._divind_formula(layers) == div, (lam, params)
+            assert divind_injective_closed(lam, params) == div
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +643,6 @@ def test_verdict_expands_digits_once(monkeypatch):
 
     monkeypatch.setattr(gl2, "digit_expansion", counted)
     lam = W(10 ** 12 + 234567, 3 * 10 ** 11 + 89)
-    gl2._divind_by_layers.cache_clear()
     classify(lam, P32)
     assert calls == [lam]
     del calls[:]

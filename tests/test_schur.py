@@ -1,4 +1,6 @@
 import functools
+import itertools
+import random
 
 import pytest
 
@@ -45,6 +47,28 @@ def test_tableau_count_is_the_enumerated_count():
     assert tableau_count(Weight((12, 8, 4, 2, 1, 0))) == 38675000
     with pytest.raises(ValueError):
         tableau_count(Weight((1, 2, 0)))
+
+
+def weyl_dimension_whole(lam):
+    """The Weyl dimension formula with all n(n-1)/2 factors multiplied
+    before the one division."""
+    num = den = 1
+    for i, j in itertools.combinations(range(lam.n), 2):
+        num *= lam[i] - lam[j] + j - i
+        den *= j - i
+    return num // den
+
+
+def test_tableau_count_matches_the_whole_product():
+    for n in range(1, 9):
+        for r in range(14):
+            for lam in partitions(r, n):
+                assert tableau_count(lam) == weyl_dimension_whole(lam)
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        lam = Weight(sorted((rng.randint(0, 10 ** 6) for _ in range(n)), reverse=True))
+        assert tableau_count(lam) == weyl_dimension_whole(lam)
 
 
 def test_jacobi_trudi_examples():
