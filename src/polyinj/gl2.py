@@ -554,11 +554,3 @@ def classify(lam, params, check=False):
     std = _standard_form(lam, params, div) if inf else None
     return Classification(lam, params, crit, div, depth, std, checked)
 
-
-# oracle adapter for the rank-generic criterion layer
-
-
-def comp_factor_oracle(params):
-    """Composition-factor oracle (tau, lam) -> [induced(tau) : simple(lam)]."""
-    return lambda tau, lam: decomposition_number(tau, lam, params)
-

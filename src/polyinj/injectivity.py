@@ -2,16 +2,16 @@
 
 The first-kernel injectivity of an injective envelope is governed by one
 inequality in the column-regular digit of its highest weight and the
-divisibility index of the quotient layer.  Everything here is a pure
-function of those inputs plus a pluggable composition-factor oracle
-(tau, lam) -> [induced(tau) : simple(lam)]: rank 2 has a complete engine
-(see :mod:`.gl2`), characteristic zero is semisimple at every rank, and
-other ranks can supply their own numbers.
+divisibility index of the quotient layer: the least last entry among the
+highest weights tau of the good filtration of the quotient-layer
+injective.  Everything here is a pure function of those inputs, the tau
+given as a factor list: rank 2 reads them off a decomposition column
+(see :mod:`.gl2`), characteristic zero is semisimple at every rank (the
+list is the quotient weight alone), and other ranks can supply their own.
 """
 
 from __future__ import annotations
 
-from .schur import partitions
 from .weights import Weight, delta, is_column_regular
 
 
@@ -45,21 +45,18 @@ def steinberg_complement(lam0, e):
     return (lam0 - (e - 1) * delta(lam0.n)).reversed()
 
 
-def necessary_condition(lam0, lbar, e, oracle):
-    """Necessary inequality for infinitesimal injectivity: every partition
-    tau contributing to the good filtration of the quotient-layer injective
-    (oracle(tau, lbar) != 0) must satisfy lam0_1 + e*tau_n >= (n-1)(e-1).
+def necessary_condition(lam0, factors, e):
+    """Necessary inequality for infinitesimal injectivity: every highest
+    weight tau in ``factors``, the good filtration of the quotient-layer
+    injective, satisfies lam0_1 + e*tau_n >= (n-1)(e-1).
 
     A consistency check, never a classifier.
     """
-    lam0, lbar = Weight(lam0), Weight(lbar)
-    lam0._same_rank(lbar)
-    n = lam0.n
-    bound = (n - 1) * (e - 1)
-    for tau in partitions(lbar.degree(), n):
-        if oracle(tau, lbar) and lam0[0] + e * tau[-1] < bound:
-            return False
-    return True
+    lam0 = Weight(lam0)
+    bound = (lam0.n - 1) * (e - 1)
+    # _same_rank raises on a rank mismatch and returns None otherwise
+    return all(lam0._same_rank(tau) or lam0[0] + e * tau[-1] >= bound
+               for tau in map(Weight, factors))
 
 
 def divind_from_factors(factors):
@@ -72,10 +69,4 @@ def divind_from_factors(factors):
         if m < 1 or not (Weight(w).is_dominant() and Weight(w).is_polynomial()):
             raise ValueError("bad factor (%r, %r)" % (w, m))
     return min(Weight(w)[-1] for w, _ in factors)
-
-
-def semisimple_comp_factors(tau, lam):
-    """Composition-factor oracle of a semisimple category: induced modules
-    are simple, so [induced(tau) : simple(lam)] is 1 iff tau = lam."""
-    return 1 if Weight(tau) == Weight(lam) else 0
 

@@ -12,7 +12,6 @@ from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
     TOP_DIGIT_SMALL,
     classify,
-    comp_factor_oracle,
     decomposition_number,
     divind_injective_closed,
     divind_injective_oracle,
@@ -537,6 +536,30 @@ def test_classify_check_reads_each_column_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_necessary_inequality_reads_one_column_per_weight(monkeypatch):
+    """The necessary-inequality suite solves one column per infinitesimally
+    injective weight it checks in positive characteristic, that of the
+    quotient weight at the classical parameters, and none at p = 0."""
+    calls = []
+    original = gl2._column
+
+    def counted(lam, params):
+        calls.append((lam, params))
+        return original(lam, params)
+
+    monkeypatch.setattr(gl2, "_column", counted)
+    suite = ("necessary-inequality", 30, "params")
+    for params in checks.PARAM_GRID:
+        calls.clear()
+        result = checks.run_suite(suite, 30, (params,))
+        assert result.ok and result.instances > 0, result.failures
+        expected = [(eadic_split(lam, params.e)[1], params.classical())
+                    for r in range(31) for lam in partitions(r, 2)
+                    if params.p and is_inf_injective_closed(lam, params)]
+        assert calls == expected
+        assert len(calls) == (result.instances if params.p else 0)
+
+
 def test_gm_flags_match_kernel_tests():
     for params in WIDE_GRID:
         for r in range(25):
@@ -580,11 +603,6 @@ def test_injective_character_determinant_shift():
                 m = divind_injective_closed(lam, params)
                 shifted = injective_character(lam - m * omega(2), params)
                 assert injective_character(lam, params) == det ** m * shifted
-
-
-def test_oracle_adapters():
-    oracle = comp_factor_oracle(P12)
-    assert oracle(W(2, 0), W(1, 1)) == 1
 
 
 PRIMES_TO_47 = [p for p in range(2, 48) if all(p % d for d in range(2, p))]

@@ -1,11 +1,11 @@
 import pytest
 
 from polyinj import gl2
+from polyinj.checks import WIDE_GRID
 from polyinj.injectivity import (
     divind_from_factors,
     injectivity_criterion,
     necessary_condition,
-    semisimple_comp_factors,
     steinberg_complement,
     steinberg_range,
 )
@@ -75,12 +75,25 @@ def test_steinberg_complement_identity():
                     assert mu is None
 
 
+def rank2_factors(lbar, params):
+    """Highest weights of the good filtration of the injective envelope of
+    simple(lbar): the rows of the nonzero entries of its column."""
+    r = lbar.degree()
+    return [(r - t, t) for t, m in enumerate(gl2.decomposition_column(lbar, params)) if m]
+
+
 def test_necessary_condition_with_rank2_oracle():
-    oracle = gl2.comp_factor_oracle(P12)
     lam0, lbar = eadic_split(W(2, 1), 2)
-    assert necessary_condition(lam0, lbar, 2, oracle) is True
+    assert necessary_condition(lam0, rank2_factors(lbar, P12), 2) is True
     lam0, lbar = eadic_split(W(2, 0), 2)
-    assert necessary_condition(lam0, lbar, 2, oracle) is False
+    assert rank2_factors(lbar, P12) == [(1, 0)]
+    assert necessary_condition(lam0, rank2_factors(lbar, P12), 2) is False
+    # one factor too low sinks the whole list; every factor must have lam0's rank
+    assert necessary_condition(W(0, 0), [W(2, 2)], 2) is True
+    assert necessary_condition(W(0, 0), [W(2, 2), W(4, 0)], 2) is False
+    assert necessary_condition(W(0, 0), [], 2) is True
+    with pytest.raises(ValueError):
+        necessary_condition(W(0, 0), [W(2, 2), W(4, 0, 0)], 2)
 
 
 def test_necessary_condition_semisimple():
@@ -90,7 +103,37 @@ def test_necessary_condition_semisimple():
             lam0 = Weight(((n - 1) * (e - 1),) + (0,) * (n - 1))
             for r in range(4):
                 for lbar in partitions(r, n):
-                    assert necessary_condition(lam0, lbar, e, semisimple_comp_factors) is True
+                    assert necessary_condition(lam0, [lbar], e) is True
+
+
+def necessary_by_partitions(lam0, lbar, e, number):
+    """The necessary inequality as a per-entry oracle sees it: every
+    partition tau of |lbar| with number(tau, lbar) != 0 clears the bound."""
+    bound = (lam0.n - 1) * (e - 1)
+    return all(lam0[0] + e * tau[-1] >= bound
+               for tau in partitions(lbar.degree(), lam0.n) if number(tau, lbar))
+
+
+def test_necessary_condition_matches_partition_enumeration():
+    """On every wide-grid pair up to degree 30, the factor list (the column
+    of the quotient weight, or the quotient weight alone at p = 0) gives the
+    verdict of asking every partition of its degree for its decomposition
+    number (or for equality with it at p = 0)."""
+    verdicts = set()
+    for params in WIDE_GRID:
+        if params.p == 0:
+            number, factors = (lambda tau, lbar: tau == lbar), (lambda lbar: [lbar])
+        else:
+            classical = params.classical()
+            number = lambda tau, lbar: gl2.decomposition_number(tau, lbar, classical)
+            factors = lambda lbar: rank2_factors(lbar, classical)
+        for r in range(31):
+            for lam in partitions(r, 2):
+                lam0, lbar = eadic_split(lam, params.e)
+                verdict = necessary_condition(lam0, factors(lbar), params.e)
+                assert verdict == necessary_by_partitions(lam0, lbar, params.e, number), (lam, params)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_divind_from_factors():
@@ -102,11 +145,6 @@ def test_divind_from_factors():
         divind_from_factors([(W(1, 0), 0)])
     with pytest.raises(ValueError):
         divind_from_factors([(W(0, 1), 1)])
-
-
-def test_semisimple_comp_factors():
-    assert semisimple_comp_factors(W(2, 1), W(2, 1)) == 1
-    assert semisimple_comp_factors(W(3, 0), W(2, 1)) == 0
 
 
 def test_criterion_matches_rank2_digit_test():
