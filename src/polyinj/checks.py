@@ -20,7 +20,6 @@ StopIteration()`` or ``... at Weight(2, 1, 0): ...``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -385,10 +384,12 @@ def check_peeling_soundness(res, deg_max, grid):
     negative, reconstructs, is unitriangular, respects dominance, and
     peeling agrees with the gl2 decomposition numbers, read one column of
     each weight once per (l, p)."""
-    # a row of degree r reads only the r // 2 + 1 columns of degree r, and
-    # the sweep runs degree by degree, so one degree's columns are held
-    column = functools.lru_cache(deg_max // 2 + 1)(gl2.decomposition_column)
+    # a row reads only the columns of its degree; the sweep runs degree by
+    # degree, each from (r, 0), so one degree's columns are held, as dicts
     for tau, params in _sweep(res, deg_max, grid):
+        if tau[1] == 0:
+            columns = {lam: dict(gl2.decomposition_column(lam, params))
+                       for lam in partitions(tau.degree(), 2)}
         res.count()
         basis = lambda w: gl2.simple_character(w, params)
         try:
@@ -405,8 +406,7 @@ def check_peeling_soundness(res, deg_max, grid):
                 res.fail("tau=%r %s: factor %r not below in dominance" % (tau, params, lam))
         if total != schur_character(tau):
             res.fail("tau=%r %s: factors do not reconstruct" % (tau, params))
-        row = {lam: m for lam in partitions(tau.degree(), 2)
-               if lam[1] >= tau[1] and (m := column(lam, params)[tau[1]])}
+        row = {lam: col[tau] for lam, col in columns.items() if tau in col}
         if factors != row:
             res.fail("tau=%r %s: peeling and the decomposition table disagree" % (tau, params))
     return res
@@ -468,19 +468,13 @@ def check_standard_form(res, deg_max, grid):
 def check_necessary_inequality(res, deg_max, grid):
     """No infinitesimally injective weight violates the necessary inequality
     for any highest weight in the good filtration of the quotient-layer
-    injective: the quotient weight itself in characteristic zero, else the
-    rows of the nonzero entries of its column at the classical parameters."""
+    injective, :func:`gl2.quotient_column`."""
     for lam, params in _sweep(res, deg_max, grid):
         if not gl2.is_inf_injective_closed(lam, params):
             continue
         res.count()
         lam0, lbar = eadic_split(lam, params.e)
-        if params.p == 0:
-            factors = [lbar]
-        else:
-            r = lbar.degree()
-            column = gl2.decomposition_column(lbar, params.classical())
-            factors = [(r - t, t) for t, m in enumerate(column) if m]
+        factors = gl2.quotient_column(lbar, params)
         if not injectivity.necessary_condition(lam0, factors, params.e):
             res.fail("lam=%r %s violates the necessary inequality" % (lam, params))
     return res

@@ -23,15 +23,17 @@ holds 287 (3,087 when keyed by the weight), every simple of degree <= 400
 at two (l, p) pairs 882 (82,482).  Decomposition numbers are read a column
 at a time, by back substitution against single coefficients of simple
 characters (``_simple_coefficient``, a digit comparison), never whole
-simple vectors, and every oracle reads one column: an injective character
-is its column summed as runs of ones, the divisibility-index oracle is the
-column's first nonzero entry, and criticality is its entry in the row of
-the symmetric power.  The simple vectors serve ``simple_character``, the
-symmetric-power recursion and the peeling bases, so peeling against them
-and the columns are two independent evaluations of the tensor product
-theorem.  Only ``_vector_character`` builds a :class:`Character`;
-tableaux, dict peeling and the suites' dict arithmetic are the oracles for
-this path.
+simple vectors.  A column is its support, (tau, multiplicity) pairs by
+increasing tau_2: by reciprocity the good filtration of the injective
+envelope, and every oracle reads that one list (``quotient_column`` for
+the layer under the twist).  An injective character sums its induced
+modules as runs of ones, the divisibility index is its least tau_2, and a
+weight is critical when its first tau is (r, 0).  The simple vectors
+serve ``simple_character``, the symmetric-power recursion and the peeling
+bases, so peeling against them and the columns are two independent
+evaluations of the tensor product theorem.  Only ``_vector_character``
+builds a :class:`Character`; tableaux, dict peeling and the suites' dict
+arithmetic are the oracles for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -58,7 +60,7 @@ from operator import add
 from typing import Optional
 
 from .characters import Character, PeelError
-from .injectivity import injectivity_criterion
+from .injectivity import divind_from_factors, injectivity_criterion
 from .weights import GroupParams, Weight, _int_weight, _split, digit_expansion, omega
 
 
@@ -217,39 +219,43 @@ def _column(lam, params):
 
 
 def decomposition_column(lam, params):
-    """Column ``lam`` of the decomposition matrix, weight checked once:
-    entry t is [induced(r-t, t) : simple(lam)] for t = 0..lam_2, the only
-    induced modules of its degree that can contain simple(lam)."""
-    return _column(_check_weight(lam), params)
+    """Column ``lam`` of the decomposition matrix as its support: the pairs
+    (tau, [induced(tau) : simple(lam)]) with a nonzero entry, by increasing
+    tau_2 <= lam_2, which is the good filtration of the injective of lam."""
+    lam = _check_weight(lam)
+    r = lam.degree()
+    return [(_int_weight((r - t, t)), m) for t, m in enumerate(_column(lam, params)) if m]
+
+
+def quotient_column(lbar, params):
+    """The good filtration of the injective envelope of ``lbar`` in the layer
+    under the twist: ``lbar`` alone in characteristic zero, where that layer
+    is semisimple, else its column at the classical parameters."""
+    if params.p == 0:
+        return [(_check_weight(lbar), 1)]
+    return decomposition_column(lbar, params.classical())
 
 
 def decomposition_number(tau, lam, params):
     """Composition multiplicity of the simple of highest weight ``lam`` in
     the induced module of highest weight ``tau`` (zero when degrees differ)."""
-    tau, lam = _check_weight(tau), _check_weight(lam)
-    if tau.degree() != lam.degree() or tau[1] > lam[1]:
-        return 0
-    return _column(lam, params)[tau[1]]
+    return dict(decomposition_column(lam, params)).get(_check_weight(tau), 0)
 
 
 def injective_character(lam, params):
     """Character of the injective envelope of the simple with highest weight
-    ``lam`` in the polynomial category: by reciprocity its good filtration
-    has the induced module of highest weight tau occurring
-    [induced(tau) : simple(lam)] times."""
-    return _vector_character(_injective_vector(lam, params))
+    ``lam`` in the polynomial category: the sum of its good filtration."""
+    return _vector_character(_induced_sum(decomposition_column(lam, params)))
 
 
-def _injective_vector(lam, params):
-    """Coefficient vector of the injective envelope of ``lam``: its column of
-    decomposition numbers, summed as runs of ones through a difference array."""
-    lam = _check_weight(lam)
-    r = lam.degree()
+def _induced_sum(factors):
+    """Coefficient vector of a (tau, multiplicity) list of induced modules of
+    one degree, each induced(a, b) a run of ones on [b, a], summed by difference."""
+    r = factors[0][0].degree()
     diff = [0] * (r + 2)
-    for t, m in enumerate(_column(lam, params)):
-        if m:
-            diff[t] += m
-            diff[r - t + 1] -= m
+    for (a, b), m in factors:
+        diff[b] += m
+        diff[a + 1] -= m
     return list(accumulate(diff[:-1]))
 
 
@@ -280,9 +286,10 @@ def is_critical_closed(lam, params):
 
 def is_critical_oracle(lam, params):
     """Character oracle for criticality: the simple of highest weight ``lam``
-    appears in the symmetric power of its degree: entry 0 of its column,
-    the row of induced(r, 0), as h_r = s_(r,0)."""
-    return decomposition_column(lam, params)[0] != 0
+    appears in the symmetric power of its degree, h_r = s_(r,0): the first
+    factor of its column is (r, 0)."""
+    tau, _ = decomposition_column(lam, params)[0]
+    return tau[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +349,9 @@ def _divind_closed(lam, params, layers):
 
 def divind_injective_oracle(lam, params):
     """Divisibility index from the good filtration of the injective envelope:
-    the least last entry t of a partition (r-t, t) whose induced module
-    contains the simple of highest weight ``lam``: the first nonzero entry
-    of its :func:`decomposition_column`."""
-    return next(t for t, m in enumerate(decomposition_column(lam, params)) if m)
+    the least last entry of a tau whose induced module contains the simple
+    of highest weight ``lam``, read off its :func:`decomposition_column`."""
+    return divind_from_factors(decomposition_column(lam, params))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +386,7 @@ def is_inf_injective_inequality(lam, params):
     ORACLE (not the closed form): lam0_1 + e * divind >= e - 1."""
     lam = _check_weight(lam)
     lam0, lbar = _split(lam, params.e)
-    if params.p == 0:
-        bar_div = lbar[1]
-    else:
-        bar_div = divind_injective_oracle(lbar, params.classical())
+    bar_div = divind_from_factors(quotient_column(lbar, params))
     return injectivity_criterion(lam0[0], bar_div, 2, params.e)
 
 
@@ -448,12 +451,9 @@ def reconstruct_weight(desc, params):
 def standard_form_character(desc, params):
     """Character of the standard tensor form: first-kernel injective times
     determinant power times the twisted classical injective character."""
-    if params.p == 0:
-        a, b = desc.bar_weight
-        bar = _det(b, [1] * (a - b + 1))  # the Schur character of (a, b)
-    else:
-        bar = _injective_vector(desc.bar_weight, params.classical())
-    prod = _twisted_product(bar, params.e, _injective_vector(desc.q_weight, params))
+    bar = _induced_sum(quotient_column(desc.bar_weight, params))
+    q = _induced_sum(decomposition_column(desc.q_weight, params))
+    prod = _twisted_product(bar, params.e, q)
     return _vector_character(_det(desc.det_power, prod))
 
 
@@ -533,15 +533,15 @@ def classify(lam, params, check=False):
         )
     checked = check or lam.degree() <= ORACLE_DEGREE_LIMIT
     if checked:
-        # one column serves both oracles: its first nonzero entry is the
-        # divisibility index, its entry in the symmetric power's row criticality
+        # one column serves both oracles: its least tau_2 is the divisibility
+        # index, and its first factor is (r, 0) exactly for a critical weight
         column = decomposition_column(lam, params)
-        div_o = next(t for t, m in enumerate(column) if m)
+        div_o = divind_from_factors(column)
         if div != div_o:
             raise OracleMismatch(
                 "divisibility index of %r at %s: closed %d vs oracle %d" % (lam, params, div, div_o)
             )
-        crit_o = column[0] != 0
+        crit_o = column[0][0][1] == 0
         if crit != crit_o:
             raise OracleMismatch(
                 "criticality of %r at %s: closed %r vs oracle %r" % (lam, params, crit, crit_o)

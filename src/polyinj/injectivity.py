@@ -4,10 +4,11 @@ The first-kernel injectivity of an injective envelope is governed by one
 inequality in the column-regular digit of its highest weight and the
 divisibility index of the quotient layer: the least last entry among the
 highest weights tau of the good filtration of the quotient-layer
-injective.  Everything here is a pure function of those inputs, the tau
-given as a factor list: rank 2 reads them off a decomposition column
-(see :mod:`.gl2`), characteristic zero is semisimple at every rank (the
-list is the quotient weight alone), and other ranks can supply their own.
+injective.  Everything here is a pure function of those inputs, every
+good filtration given in one shape, (tau, multiplicity) pairs: rank 2
+reads them off a decomposition column (see :mod:`.gl2`), characteristic
+zero is semisimple at every rank (the list is [(lbar, 1)]), and other
+ranks can supply their own.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ def steinberg_complement(lam0, e):
     return (lam0 - (e - 1) * delta(lam0.n)).reversed()
 
 
+def _factor_weights(factors, n=None):
+    """The taus of a factor list [(tau, multiplicity), ...], each checked to
+    be a partition of rank ``n`` (default the first's) with multiplicity >= 1."""
+    taus = []
+    for tau, m in factors:
+        tau = Weight(tau)
+        n = tau.n if n is None else n
+        if m < 1 or tau.n != n or not (tau.is_dominant() and tau.is_polynomial()):
+            raise ValueError("bad factor (%r, %r)" % (tau, m))
+        taus.append(tau)
+    return taus
+
+
 def necessary_condition(lam0, factors, e):
     """Necessary inequality for infinitesimal injectivity: every highest
     weight tau in ``factors``, the good filtration of the quotient-layer
@@ -54,19 +68,12 @@ def necessary_condition(lam0, factors, e):
     """
     lam0 = Weight(lam0)
     bound = (lam0.n - 1) * (e - 1)
-    # _same_rank raises on a rank mismatch and returns None otherwise
-    return all(lam0._same_rank(tau) or lam0[0] + e * tau[-1] >= bound
-               for tau in map(Weight, factors))
+    return all(lam0[0] + e * tau[-1] >= bound for tau in _factor_weights(factors, lam0.n))
 
 
 def divind_from_factors(factors):
-    """Divisibility index of a module read off a factor list
-    [(weight, multiplicity), ...]: the least last entry."""
-    factors = list(factors)
-    if not factors:
+    """Divisibility index of a module read off its factor list: the least last entry."""
+    taus = _factor_weights(factors)
+    if not taus:
         raise ValueError("empty factor list")
-    for w, m in factors:
-        if m < 1 or not (Weight(w).is_dominant() and Weight(w).is_polynomial()):
-            raise ValueError("bad factor (%r, %r)" % (w, m))
-    return min(Weight(w)[-1] for w, _ in factors)
-
+    return min(tau[-1] for tau in taus)

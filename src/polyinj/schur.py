@@ -38,22 +38,21 @@ def compositions(r, parts):
 @lru_cache(maxsize=None)
 def partitions(r, n):
     """Partitions of ``r`` into at most ``n`` parts, as rank-n weights,
-    in lex-descending order."""
+    in lex-descending order.  A depth-first walk with its own stack, so no
+    recursion limit bounds the rank; a prefix summing to ``r`` ends in zeros."""
     if r < 0 or n < 1:
         raise ValueError("partitions need r >= 0 and n >= 1")
     out = []
-
-    def rec(remaining, maxpart, acc):
-        if len(acc) == n:
-            if remaining == 0:
-                out.append(Weight(acc))
-            return
-        slots = n - len(acc)
-        lo = -(-remaining // slots)  # ceil: stay weakly decreasing afterwards
-        for a in range(min(maxpart, remaining), lo - 1, -1):
-            rec(remaining - a, a, acc + [a])
-
-    rec(r, r, [])
+    stack = [(r, r, ())]  # (remaining, largest part allowed, parts so far)
+    while stack:
+        remaining, maxpart, acc = stack.pop()
+        if not remaining:
+            out.append(Weight(acc + (0,) * (n - len(acc))))
+            continue
+        lo = -(-remaining // (n - len(acc)))  # ceil: the rest must still fit
+        # pushed smallest first, so the largest next part is walked first
+        stack.extend((remaining - a, a, acc + (a,))
+                     for a in range(lo, min(maxpart, remaining) + 1))
     return tuple(out)
 
 
@@ -206,21 +205,19 @@ def pieri_expand(lam, r):
         raise ValueError("strip size must be nonnegative")
     n = lam.n
     out = []
-    mu = [0] * n
-
-    def rec(i, excess):
-        if i == n:
-            if excess == 0:
-                out.append(Weight(mu))
-            return
-        hi = lam[i] + excess
-        if i:
-            hi = min(hi, lam[i - 1])
-        for v in range(hi, lam[i] - 1, -1):
-            mu[i] = v
-            rec(i + 1, excess - (v - lam[i]))
-
-    rec(0, r)
+    mu = list(lam)
+    # depth-first over (row i, its new length, strip left before row i), the
+    # largest length walked first; once the strip is placed, lam is kept below
+    stack = [(0, v, r) for v in range(lam[0], lam[0] + r + 1)]
+    while stack:
+        i, v, excess = stack.pop()
+        mu[i] = v
+        excess -= v - lam[i]
+        if not excess:
+            out.append(Weight(mu[:i + 1] + list(lam[i + 1:])))
+        elif i + 1 < n:
+            hi = min(lam[i + 1] + excess, lam[i])
+            stack.extend((i + 1, w, excess) for w in range(lam[i + 1], hi + 1))
     return out
 
 

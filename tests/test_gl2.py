@@ -186,27 +186,35 @@ def test_decomposition_table_reach():
     dict-based peeling."""
     params = GroupParams(5, 7)
     t0 = time.perf_counter()
-    columns = {lam: gl2.decomposition_column(lam, params) for lam in partitions(1000, 2)}
+    columns = {lam: dict(gl2.decomposition_column(lam, params)) for lam in partitions(1000, 2)}
     assert time.perf_counter() - t0 < 10
     assert len(columns) == 501
     basis = lambda w: simple_character(w, params)
     for tau in (W(1000, 0), W(700, 300), W(500, 500)):
-        t = tau[1]
-        row = {lam: col[t] for lam, col in columns.items() if len(col) > t and col[t]}
+        row = {lam: col[tau] for lam, col in columns.items() if tau in col}
         assert row == peel_into_basis(schur_character(tau), basis)
+
+
+def assert_column_agrees_with_closed_forms(lam, params):
+    """The column of ``lam`` is a support, (tau, m >= 1) pairs of lam's
+    degree by increasing tau_2 and ending at lam, whose first tau_2 is the
+    divisibility index and whose first tau is (r, 0) exactly for a critical
+    weight."""
+    column = gl2.decomposition_column(lam, params)
+    taus = [tau for tau, _ in column]
+    assert all(m >= 1 for _, m in column)
+    assert all(tau.degree() == lam.degree() for tau in taus)
+    assert taus == sorted(taus, reverse=True) and taus[-1] == lam
+    assert taus[0][1] == divind_injective_closed(lam, params)
+    assert (taus[0] == W(lam.degree(), 0)) is is_critical_closed(lam, params)
 
 
 def test_decomposition_column_reach():
     """One cold column per pair at degrees 3000-4000 agrees with the closed
-    forms: its first nonzero entry is the divisibility index, and its entry
-    in the symmetric power's row is nonzero exactly for a critical weight
-    (two of the four are)."""
+    forms (two of the four weights are critical)."""
     for l, p, lam in ((1, 2, W(3000, 1000)), (5, 7, W(1711, 1290)),
                       (3, 0, W(2100, 1400)), (2, 3, W(2479, 522))):
-        params = GroupParams(l, p)
-        column = gl2.decomposition_column(lam, params)
-        assert next(t for t, m in enumerate(column) if m) == divind_injective_closed(lam, params)
-        assert (column[0] != 0) is is_critical_closed(lam, params)
+        assert_column_agrees_with_closed_forms(lam, GroupParams(l, p))
 
 
 def test_decomposition_column_reach_degree_16000():
@@ -215,10 +223,7 @@ def test_decomposition_column_reach_degree_16000():
     gl2._simple_character.cache_clear()
     t0 = time.perf_counter()
     for l, p, lam in ((1, 2, W(12000, 4000)), (5, 7, W(9000, 7000)), (2, 3, W(12500, 3500))):
-        params = GroupParams(l, p)
-        column = gl2.decomposition_column(lam, params)
-        assert next(t for t, m in enumerate(column) if m) == divind_injective_closed(lam, params)
-        assert (column[0] != 0) is is_critical_closed(lam, params)
+        assert_column_agrees_with_closed_forms(lam, GroupParams(l, p))
     assert time.perf_counter() - t0 < 10
     assert gl2._simple_character.cache_info().currsize == 0
 
@@ -249,6 +254,21 @@ def test_vector_characters_match_dict_formulas_wide_grid():
                 assert standard_form_character(desc, params) == expected, (lam, params)
         for r in range(61):
             assert sympow_character_recursive(r, params) == h_character(r, 2), (r, params)
+
+
+def test_columns_are_supports():
+    assert gl2.decomposition_column(W(1, 1), P12) == [(W(2, 0), 1), (W(1, 1), 1)]
+    assert gl2.decomposition_column(W(2, 1), P12) == [(W(2, 1), 1)]
+    assert gl2.quotient_column(W(2, 2), P22) == gl2.decomposition_column(W(2, 2), P12)
+    assert gl2.quotient_column(W(2, 2), P20) == [(W(2, 2), 1)]
+
+
+def test_induced_sum_counts_multiplicities():
+    """Rank-2 decomposition numbers are 0 or 1 on every grid the suites
+    sweep, so no column there has a multiplicity above one: the vector
+    builder is pinned on a list that does."""
+    assert gl2._induced_sum([(W(2, 0), 2), (W(1, 1), 1)]) == [2, 3, 2]
+    assert gl2._induced_sum([(W(3, 1), 3)]) == [0, 3, 3, 3, 0]
 
 
 def test_injective_character_examples():
@@ -508,8 +528,10 @@ def test_classify_check_runs_the_oracles_above_the_limit(monkeypatch):
     lam = W(60, 30)
     assert lam.degree() > gl2.ORACLE_DEGREE_LIMIT
     original = gl2.decomposition_column
-    # every column shifted one row down: its first nonzero entry is off by one
-    monkeypatch.setattr(gl2, "decomposition_column", lambda lam, params: [0] + original(lam, params))
+    # every tau moved one row down: the column's least tau_2 is off by one
+    down = W(-1, 1)
+    monkeypatch.setattr(gl2, "decomposition_column",
+                        lambda lam, params: [(tau + down, m) for tau, m in original(lam, params)])
     with pytest.raises(gl2.OracleMismatch):
         classify(lam, P12, check=True)
     cls = classify(lam, P12)
@@ -558,6 +580,32 @@ def test_necessary_inequality_reads_one_column_per_weight(monkeypatch):
                     if params.p and is_inf_injective_closed(lam, params)]
         assert calls == expected
         assert len(calls) == (result.instances if params.p else 0)
+
+
+def test_quotient_layer_is_read_from_quotient_column(monkeypatch):
+    """The injectivity inequality, the standard-form character and the
+    necessary-inequality suite each take the layer under the twist from
+    quotient_column, in characteristic zero as in positive characteristic."""
+    calls = []
+    original = gl2.quotient_column
+
+    def counted(lbar, params):
+        calls.append((lbar, params))
+        return original(lbar, params)
+
+    monkeypatch.setattr(gl2, "quotient_column", counted)
+    for params in (P12, P20):
+        lam = next(lam for lam in partitions(9, 2) if is_inf_injective_closed(lam, params))
+        calls.clear()
+        is_inf_injective_inequality(lam, params)
+        assert calls == [(eadic_split(lam, params.e)[1], params)]
+        calls.clear()
+        desc = standard_form(lam, params)
+        standard_form_character(desc, params)
+        assert calls == [(desc.bar_weight, params)]
+        calls.clear()
+        result = checks.run_suite(("necessary-inequality", 9, "params"), 9, (params,))
+        assert result.ok and len(calls) == result.instances > 0, result.failures
 
 
 def test_gm_flags_match_kernel_tests():

@@ -75,25 +75,28 @@ def test_steinberg_complement_identity():
                     assert mu is None
 
 
-def rank2_factors(lbar, params):
-    """Highest weights of the good filtration of the injective envelope of
-    simple(lbar): the rows of the nonzero entries of its column."""
-    r = lbar.degree()
-    return [(r - t, t) for t, m in enumerate(gl2.decomposition_column(lbar, params)) if m]
-
-
 def test_necessary_condition_with_rank2_oracle():
     lam0, lbar = eadic_split(W(2, 1), 2)
-    assert necessary_condition(lam0, rank2_factors(lbar, P12), 2) is True
+    assert necessary_condition(lam0, gl2.decomposition_column(lbar, P12), 2) is True
     lam0, lbar = eadic_split(W(2, 0), 2)
-    assert rank2_factors(lbar, P12) == [(1, 0)]
-    assert necessary_condition(lam0, rank2_factors(lbar, P12), 2) is False
+    assert gl2.decomposition_column(lbar, P12) == [(W(1, 0), 1)]
+    assert necessary_condition(lam0, gl2.decomposition_column(lbar, P12), 2) is False
     # one factor too low sinks the whole list; every factor must have lam0's rank
-    assert necessary_condition(W(0, 0), [W(2, 2)], 2) is True
-    assert necessary_condition(W(0, 0), [W(2, 2), W(4, 0)], 2) is False
+    assert necessary_condition(W(0, 0), [(W(2, 2), 1)], 2) is True
+    assert necessary_condition(W(0, 0), [(W(2, 2), 1), (W(4, 0), 2)], 2) is False
     assert necessary_condition(W(0, 0), [], 2) is True
     with pytest.raises(ValueError):
-        necessary_condition(W(0, 0), [W(2, 2), W(4, 0, 0)], 2)
+        necessary_condition(W(0, 0), [(W(2, 2), 1), (W(4, 0, 0), 1)], 2)
+
+
+def test_necessary_condition_checks_factors_as_divind_does():
+    """Both readers of a factor list refuse a tau that is not a partition
+    and a multiplicity below one."""
+    for bad in ((W(0, 1), 1), (W(2, 2), 0)):
+        with pytest.raises(ValueError, match="bad factor"):
+            necessary_condition(W(1, 0), [(W(2, 0), 1), bad], 2)
+        with pytest.raises(ValueError, match="bad factor"):
+            divind_from_factors([(W(2, 0), 1), bad])
 
 
 def test_necessary_condition_semisimple():
@@ -103,7 +106,7 @@ def test_necessary_condition_semisimple():
             lam0 = Weight(((n - 1) * (e - 1),) + (0,) * (n - 1))
             for r in range(4):
                 for lbar in partitions(r, n):
-                    assert necessary_condition(lam0, [lbar], e) is True
+                    assert necessary_condition(lam0, [(lbar, 1)], e) is True
 
 
 def necessary_by_partitions(lam0, lbar, e, number):
@@ -115,22 +118,21 @@ def necessary_by_partitions(lam0, lbar, e, number):
 
 
 def test_necessary_condition_matches_partition_enumeration():
-    """On every wide-grid pair up to degree 30, the factor list (the column
-    of the quotient weight, or the quotient weight alone at p = 0) gives the
-    verdict of asking every partition of its degree for its decomposition
-    number (or for equality with it at p = 0)."""
+    """On every wide-grid pair up to degree 30, the factor list of the
+    quotient layer (gl2.quotient_column) gives the verdict of asking every
+    partition of its degree for its decomposition number at the classical
+    parameters (or for equality with the quotient weight at p = 0)."""
     verdicts = set()
     for params in WIDE_GRID:
         if params.p == 0:
-            number, factors = (lambda tau, lbar: tau == lbar), (lambda lbar: [lbar])
+            number = lambda tau, lbar: tau == lbar
         else:
             classical = params.classical()
             number = lambda tau, lbar: gl2.decomposition_number(tau, lbar, classical)
-            factors = lambda lbar: rank2_factors(lbar, classical)
         for r in range(31):
             for lam in partitions(r, 2):
                 lam0, lbar = eadic_split(lam, params.e)
-                verdict = necessary_condition(lam0, factors(lbar), params.e)
+                verdict = necessary_condition(lam0, gl2.quotient_column(lbar, params), params.e)
                 assert verdict == necessary_by_partitions(lam0, lbar, params.e, number), (lam, params)
                 verdicts.add(verdict)
     assert verdicts == {True, False}

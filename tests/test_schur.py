@@ -190,6 +190,16 @@ def test_partitions_enumeration():
         assert all(p.is_dominant() and p.degree() == r for p in ps)
 
 
+def test_partitions_and_pieri_at_rank_1200():
+    """Both walks run deeper than a recursion over the parts could go."""
+    n = 1200
+    zeros = lambda k: (0,) * (n - k)
+    assert partitions(3, n) == (Weight((3,) + zeros(1)), Weight((2, 1) + zeros(2)),
+                                Weight((1, 1, 1) + zeros(3)))
+    assert pieri_expand(Weight((1,) + zeros(1)), 2) == [Weight((3,) + zeros(1)),
+                                                        Weight((2, 1) + zeros(2))]
+
+
 def test_compositions_enumeration():
     assert compositions(0, 0) == ((),)
     assert compositions(1, 0) == ()
