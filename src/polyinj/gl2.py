@@ -21,19 +21,21 @@ products.  As L(a, b) = det^b * L(a - b, 0), one simple vector is memoized
 per SL2 weight n = a - b and shifted by b: ``selfcheck --deg-max 40``
 holds 287 (3,087 when keyed by the weight), every simple of degree <= 400
 at two (l, p) pairs 882 (82,482).  Decomposition numbers are read a column
-at a time, by back substitution against single coefficients of simple
-characters (``_simple_coefficient``, a digit comparison), never whole
-simple vectors.  A column is its support, (tau, multiplicity) pairs by
-increasing tau_2: by reciprocity the good filtration of the injective
-envelope, and every oracle reads that one list (``quotient_column`` for
-the layer under the twist).  An injective character sums its induced
-modules as runs of ones, the divisibility index is its least tau_2, and a
-weight is critical when its first tau is (r, 0).  The simple vectors
-serve ``simple_character``, the symmetric-power recursion and the peeling
-bases, so peeling against them and the columns are two independent
-evaluations of the tensor product theorem.  Only ``_vector_character``
-builds a :class:`Character`; tableaux, dict peeling and the suites' dict
-arithmetic are the oracles for this path.
+at a time, by back substitution against the supports of simple
+characters, never whole simple vectors: ``_simple_support`` builds the
+support of simple(n, 0), cut to a window of bits, as one int from the
+digits of n, and a row of the solve is a few popcounts.  A column is its
+support, (tau, multiplicity) pairs by increasing tau_2: by reciprocity the
+good filtration of the injective envelope, and every oracle reads that
+one list (``quotient_column`` for the layer under the twist).  An
+injective character sums its induced modules as runs of ones, the
+divisibility index is its least tau_2, and a weight is critical when its
+first tau is (r, 0).  The simple vectors serve ``simple_character``, the
+symmetric-power recursion and the peeling bases, so peeling against them
+and the columns are two independent evaluations of the tensor product
+theorem.  Only ``_vector_character`` builds a :class:`Character`;
+tableaux, dict peeling and the suites' dict arithmetic are the oracles
+for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -60,7 +62,7 @@ from operator import add
 from typing import Optional
 
 from .characters import Character, PeelError
-from .injectivity import divind_from_factors, injectivity_criterion
+from .injectivity import injectivity_criterion
 from .weights import GroupParams, Weight, _int_weight, _split, digit_expansion, omega
 
 
@@ -166,22 +168,30 @@ def _sympow_recursive(r, params):
     return tuple(out)
 
 
-def _simple_coefficient(n, k, e, p):
-    """Coefficient (0 or 1) of x^(n-k) y^k in the simple character of
-    (n, 0), by the tensor product theorem: it is 1 exactly when 0 <= k <= n
-    and every mixed-radix digit of k (base e first, then base p) is at most
-    the matching digit of n.  In characteristic zero the layer under the
-    twist is a whole Schur character, so only the base-e digit is compared."""
-    if k < 0 or k > n or k % e > n % e:
-        return 0
-    n //= e
-    k //= e
-    while p and k:
-        if k % p > n % p:
-            return 0
-        n //= p
-        k //= p
-    return 1
+def _simple_support(n, e, p, width):
+    """The support of the simple character of (n, 0) in a window of
+    ``width`` bits, as one int: bit k, for k < width, is the coefficient
+    (0 or 1) of x^(n-k) y^k.  By the tensor product theorem the support is
+    a product of runs, one per digit: the n mod e + 1 ones of the base-e
+    digit, then, for each base-p digit d of n // e at scale s, d + 1 copies
+    of the support so far spaced s apart (in characteristic zero, where the
+    layer under the twist is a whole Schur character, n // e + 1 copies
+    spaced e apart).  The copies are made by doubling, only as far as the
+    window reaches, and a digit at a scale past the window changes nothing
+    in it, so a digit costs a few shifts of ints of about ``width`` bits."""
+    support = (1 << (n % e + 1)) - 1
+    n, scale = n // e, e
+    while n and scale < width:
+        d = n % p if p else n
+        have = 1
+        while have <= d and have * scale < width:
+            support |= support << have * scale
+            have *= 2
+        if have > d + 1:  # the last doubling went past d + 1 copies
+            support &= (1 << (d + 1) * scale) - 1
+        n = n // p if p else 0
+        scale *= p
+    return support & ((1 << width) - 1)
 
 
 def _column(lam, params):
@@ -189,24 +199,28 @@ def _column(lam, params):
     entry t is [induced(r-t, t) : simple(lam)] for t <= lam_2 (zero further
     down).  In the Weyl basis simple(r-i, i) = det^i * simple(n, 0), with
     n = r - 2i, has coefficient c(n, t-i) - c(n, t-i-1) at induced(r-t, t),
-    c the pointwise :func:`_simple_coefficient`; these coefficients form a
+    c(n, k) bit k of :func:`_simple_support`; these coefficients form a
     unitriangular matrix whose inverse's column lam_2 this solves for, from
-    y = 1 at lam_2 upward, reading only the entries it sums.  Like
-    :func:`peel_into_basis` on the simple vectors, which stays its oracle,
-    it raises :class:`PeelError` on a negative entry and on a simple whose
-    coefficient at its own pivot is not one."""
+    y = 1 at lam_2 upward.  Row i reads the support S of simple(n, 0) in the
+    window of the lam_2 - i + 1 rows it sums over, and, for each
+    multiplicity m, the mask T of the rows solved with m, shifted down by
+    i: m * (popcount(T & (S << 1)) - popcount(T & S)) is their share of y.
+    Like :func:`peel_into_basis` on the simple vectors, which stays its
+    oracle, it raises :class:`PeelError` on a negative entry and on a simple
+    whose coefficient at its own pivot (bit 0 of S) is not one."""
     r, j = lam.degree(), lam[1]
     e, p = params.e, params.p
-    c = _simple_coefficient
     col = [0] * (j + 1)
-    found = []  # (t, y_t) for the nonzero entries solved so far
+    solved = {}  # multiplicity -> mask with bit t for each row t solved with it
     for i in range(j, -1, -1):
-        n = r - 2 * i
-        if c(n, 0, e, p) - c(n, -1, e, p) != 1:
+        support = _simple_support(r - 2 * i, e, p, j - i + 1)
+        if not support & 1:
             raise PeelError("basis element at %r lacks leading multiplicity one"
                             % (_int_weight((r - i, i)),))
-        y = 1 if i == j else -sum([(c(n, t - i, e, p) - c(n, t - i - 1, e, p)) * m
-                                   for t, m in found])
+        y = 1 if i == j else 0
+        for m, mask in solved.items():
+            mask >>= i
+            y += m * ((mask & support << 1).bit_count() - (mask & support).bit_count())
         if y < 0:
             raise PeelError(
                 "pivot %r carries multiplicity %d; not expressible in this basis"
@@ -214,7 +228,7 @@ def _column(lam, params):
             )
         if y:
             col[i] = y
-            found.append((i, y))
+            solved[y] = solved.get(y, 0) | 1 << i
     return col
 
 
@@ -225,6 +239,14 @@ def decomposition_column(lam, params):
     lam = _check_weight(lam)
     r = lam.degree()
     return [(_int_weight((r - t, t)), m) for t, m in enumerate(_column(lam, params)) if m]
+
+
+def _least_tau2(column):
+    """The least tau_2 of a column built here, read without a check: its
+    first pair's, as a column runs by increasing tau_2.  A factor list from
+    outside goes through :func:`.injectivity.divind_from_factors`, which
+    validates it."""
+    return column[0][0][1]
 
 
 def quotient_column(lbar, params):
@@ -351,7 +373,7 @@ def divind_injective_oracle(lam, params):
     """Divisibility index from the good filtration of the injective envelope:
     the least last entry of a tau whose induced module contains the simple
     of highest weight ``lam``, read off its :func:`decomposition_column`."""
-    return divind_from_factors(decomposition_column(lam, params))
+    return _least_tau2(decomposition_column(lam, params))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +408,7 @@ def is_inf_injective_inequality(lam, params):
     ORACLE (not the closed form): lam0_1 + e * divind >= e - 1."""
     lam = _check_weight(lam)
     lam0, lbar = _split(lam, params.e)
-    bar_div = divind_from_factors(quotient_column(lbar, params))
+    bar_div = _least_tau2(quotient_column(lbar, params))
     return injectivity_criterion(lam0[0], bar_div, 2, params.e)
 
 
@@ -514,9 +536,10 @@ ORACLE_DEGREE_LIMIT = 40
 def classify(lam, params, check=False):
     """Classify one weight from one digit list, cross-checking the closed
     forms against the character oracles when ``check`` is set or the degree
-    is at most ``ORACLE_DEGREE_LIMIT`` (the oracles cost columns of
-    decomposition numbers, quadratic in the degree; the closed forms are
-    digit arithmetic).  Any disagreement raises :class:`OracleMismatch`."""
+    is at most ``ORACLE_DEGREE_LIMIT`` (the oracles cost a column of
+    decomposition numbers, quadratic in lam_2 in machine words; the closed
+    forms are digit arithmetic).  Any disagreement raises
+    :class:`OracleMismatch`."""
     lam = _check_weight(lam)
     layers = _layers(lam, params)
     div = _divind_closed(lam, params, layers)
@@ -536,7 +559,7 @@ def classify(lam, params, check=False):
         # one column serves both oracles: its least tau_2 is the divisibility
         # index, and its first factor is (r, 0) exactly for a critical weight
         column = decomposition_column(lam, params)
-        div_o = divind_from_factors(column)
+        div_o = _least_tau2(column)
         if div != div_o:
             raise OracleMismatch(
                 "divisibility index of %r at %s: closed %d vs oracle %d" % (lam, params, div, div_o)

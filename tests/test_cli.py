@@ -6,7 +6,7 @@ import time
 import pytest
 
 from polyinj import checks, gl2, weights
-from polyinj.cli import COMMANDS, main, render
+from polyinj.cli import COLUMN_ROW_LIMIT, COMMANDS, main, render
 from polyinj.weights import GroupParams, Weight
 
 
@@ -162,6 +162,16 @@ def test_classify_check_reach():
     rc, out = run(["classify", "--weight", "400,100", "--l", "1", "--p", "2", "--check"])
     assert rc == 0 and "oracle_checked: true" in out
     assert time.perf_counter() - t0 < 10
+
+
+def test_classify_check_at_the_column_row_budget():
+    """The row budget's worst accepted case, det^8191 at (1, 2), whose
+    column has all of its 8,192 rows nonzero, answers in seconds."""
+    top = COLUMN_ROW_LIMIT - 1
+    t0 = time.perf_counter()
+    rc, out = run(["classify", "--weight", "%d,%d" % (top, top), "--l", "1", "--p", "2", "--check"])
+    assert rc == 0 and "oracle_checked: true" in out
+    assert time.perf_counter() - t0 < 3
 
 
 def test_classical_layer_reuses_q1_params(monkeypatch):
@@ -349,16 +359,16 @@ def _divind_off_by_one(original):
     return lambda layers: original(layers) + 1
 
 
-def _no_simple_coefficients(original):
-    return lambda n, k, e, p: 0
+def _no_simple_support(original):
+    return lambda n, e, p, width: 0
 
 
 @pytest.mark.parametrize("attr, corrupt, argv", [
     ("_divind_formula", _divind_off_by_one, ["divind", "--weight", "2,1", "--l", "1", "--p", "2"]),
     # a column that cannot be solved is an oracle failure too, not a usage error
-    ("_simple_coefficient", _no_simple_coefficients,
+    ("_simple_support", _no_simple_support,
      ["classify", "--weight", "5,2", "--l", "1", "--p", "2", "--check"]),
-    ("_simple_coefficient", _no_simple_coefficients,
+    ("_simple_support", _no_simple_support,
      ["char", "injective", "--weight", "5,2", "--l", "1", "--p", "2"]),
 ], ids=["divind", "classify-check", "char-injective"])
 def test_oracle_mismatch_exit_code(monkeypatch, capsys, attr, corrupt, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -129,37 +130,44 @@ def test_decomposition_sweep_keeps_peeling_checks(monkeypatch):
     """Back substitution refuses a negative entry and a simple whose leading
     coefficient is not one, as peel_into_basis does, on a column read
     through the corrupted simple and on that simple's own column."""
-    original = gl2._simple_coefficient
+    original = gl2._simple_support
 
     def corrupt(bad):
-        def coefficient(n, k, e, p):
-            if n == 4 and (e, p) == (P12.e, P12.p):
-                return bad[k] if 0 <= k <= n else 0
-            return original(n, k, e, p)
-        return coefficient
+        def support(n, e, p, width):
+            if n == 5 and (e, p) == (P12.e, P12.p):
+                return sum(c << k for k, c in enumerate(bad[:width]))
+            return original(n, e, p, width)
+        return support
 
-    for bad in ((1, 1, 2, 1, 1), (2, 0, 0, 0, 2)):
-        monkeypatch.setattr(gl2, "_simple_coefficient", corrupt(bad))
-        with pytest.raises(PeelError):
-            decomposition_number(W(4, 0), W(2, 2), P12)
+    # simple(5, 0) at (1, 2) has support {0, 1, 4, 5}: with bit 2 in place of
+    # bit 1 the entry at (5, 0) of column (3, 2) is -1, without bit 0 the
+    # diagonal is 0
+    for bad, match in (((1, 0, 1, 0, 1, 1), "multiplicity -1"),
+                       ((0, 1, 0, 0, 1, 1), "leading multiplicity one")):
+        monkeypatch.setattr(gl2, "_simple_support", corrupt(bad))
+        with pytest.raises(PeelError, match=match):
+            decomposition_number(W(5, 0), W(3, 2), P12)
     # the diagonal corruption, still in place, is caught on its own column
     with pytest.raises(PeelError, match="leading multiplicity one"):
-        gl2.decomposition_column(W(4, 0), P12)
+        gl2.decomposition_column(W(5, 0), P12)
     monkeypatch.undo()
-    row = {lam: decomposition_number(W(4, 0), lam, P12) for lam in partitions(4, 2)}
-    assert row == {W(4, 0): 1, W(3, 1): 1, W(2, 2): 1}
+    row = {lam: decomposition_number(W(5, 0), lam, P12) for lam in partitions(5, 2)}
+    assert row == {W(5, 0): 1, W(4, 1): 0, W(3, 2): 1}
 
 
-def test_simple_coefficient_matches_simple_vectors():
-    """One coefficient of simple(n, 0), read from its digits, is that entry
-    of the simple vector, for n <= 120 on the wide grid; k outside [0, n]
-    reads 0."""
+def test_simple_support_matches_simple_vectors():
+    """The support of simple(n, 0), built from its digits, is bit for bit
+    the simple vector, for n <= 120 on the wide grid, in every window from
+    one bit to one past the degree."""
     for params in WIDE_GRID:
         e, p = params.e, params.p
         for n in range(121):
             v = gl2._simple_character(n, params)
-            got = [gl2._simple_coefficient(n, k, e, p) for k in range(-1, n + 2)]
-            assert got == [0, *v, 0], (n, params)
+            assert set(v) <= {0, 1}
+            full = sum(1 << k for k, c in enumerate(v) if c)
+            for width in range(1, n + 3):
+                got = gl2._simple_support(n, e, p, width)
+                assert got == full & ((1 << width) - 1), (n, width, params)
 
 
 def test_simple_vectors_are_memoized_per_sl2_weight():
@@ -218,7 +226,7 @@ def test_decomposition_column_reach():
 
 
 def test_decomposition_column_reach_degree_16000():
-    """Cold columns of degree 16000 read digit coefficients only: they agree
+    """Cold columns of degree 16000 read digit supports only: they agree
     with the closed forms and fill no memo of simple vectors."""
     gl2._simple_character.cache_clear()
     t0 = time.perf_counter()
@@ -226,6 +234,33 @@ def test_decomposition_column_reach_degree_16000():
         assert_column_agrees_with_closed_forms(lam, GroupParams(l, p))
     assert time.perf_counter() - t0 < 10
     assert gl2._simple_character.cache_info().currsize == 0
+
+
+def test_decomposition_column_reach_row_budget():
+    """Columns of the row budget's size, 8,192 rows, and of degree 10^12
+    agree with the closed forms in seconds: each row reads its simple's
+    support in a window of the rows below it."""
+    t0 = time.perf_counter()
+    for l, p, lam in ((1, 2, W(8191, 8191)), (1, 2, W(24000, 8000)), (1, 2, W(10 ** 12, 8191)),
+                      (3, 0, W(10 ** 12, 8191)), (5, 7, W(10 ** 12, 8191))):
+        assert_column_agrees_with_closed_forms(lam, GroupParams(l, p))
+    assert time.perf_counter() - t0 < 3
+
+
+def test_columns_of_degree_80_are_pinned():
+    """Every column of degree <= 80 on the wide grid, 28,577 of them, hashes
+    to the digest that the solve reading one digit coefficient at a time
+    gave."""
+    digest = hashlib.sha256()
+    count = 0
+    for params in WIDE_GRID:
+        for r in range(81):
+            for lam in partitions(r, 2):
+                column = [(tuple(tau), m) for tau, m in gl2.decomposition_column(lam, params)]
+                digest.update(repr((params.l, params.p, tuple(lam), column)).encode())
+                count += 1
+    assert count == 28577
+    assert digest.hexdigest() == "01811c6b827d2b9536ec581b132cb1949f3359087e331ca1ee7cdd91f65f8540"
 
 
 def test_vector_characters_match_dict_formulas_wide_grid():
