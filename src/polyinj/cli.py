@@ -31,7 +31,7 @@ from collections import namedtuple
 from . import checks, gl2, injectivity
 from .characters import PeelError
 from .schur import partitions, schur_character, tableau_count
-from .weights import GroupParams, Weight, digit_expansion, eadic_split
+from .weights import GroupParams, Weight, check_partition, digit_expansion, eadic_split
 
 
 class UsageError(ValueError):
@@ -257,9 +257,7 @@ def cmd_classify(args):
             ("oracle_checked", cls.oracle_checked,
              "oracle_checked: true" if cls.oracle_checked else None)], args.format)
     # other ranks: the criterion layer decides what it can
-    if not (lam.is_dominant() and lam.is_polynomial()):
-        raise UsageError("classification needs a dominant polynomial weight")
-    lam0, lbar = eadic_split(lam, params.e)
+    lam0, lbar = eadic_split(check_partition(lam), params.e)
     in_range = injectivity.steinberg_range(lam0, params.e)
     return render(_weight_params(lam, params) + [
         ("quantum_digit", lam0, "quantum digit: (%s)" % _weight_str(lam0)),

@@ -19,23 +19,22 @@ product is ``_twisted_product``: a vector times the Frobenius twist of
 another.  Simple characters, symmetric powers and standard forms are such
 products.  As L(a, b) = det^b * L(a - b, 0), one simple vector is memoized
 per SL2 weight n = a - b and shifted by b: ``selfcheck --deg-max 40``
-holds 287 (3,087 when keyed by the weight), every simple of degree <= 400
-at two (l, p) pairs 882 (82,482).  Decomposition numbers are read a column
-at a time, by back substitution against the supports of simple
-characters, never whole simple vectors: ``_simple_support`` builds the
-support of simple(n, 0), cut to a window of bits, as one int from the
-digits of n, and a row of the solve is a few popcounts.  A column is its
-support, (tau, multiplicity) pairs by increasing tau_2: by reciprocity the
-good filtration of the injective envelope, and every oracle reads that
-one list (``quotient_column`` for the layer under the twist).  An
-injective character sums its induced modules as runs of ones, the
-divisibility index is its least tau_2, and a weight is critical when its
-first tau is (r, 0).  The simple vectors serve ``simple_character``, the
-symmetric-power recursion and the peeling bases, so peeling against them
-and the columns are two independent evaluations of the tensor product
-theorem.  Only ``_vector_character`` builds a :class:`Character`;
-tableaux, dict peeling and the suites' dict arithmetic are the oracles
-for this path.
+holds 287, every simple of degree <= 400 at two (l, p) pairs 882.
+Decomposition numbers are read a column at a time, by back substitution
+against the supports of simple characters, never whole simple vectors:
+``_simple_support`` builds the support of simple(n, 0), cut to a window of
+bits, as one int from the digits of n, and a row of the solve is a few
+popcounts.  A column is its support, (tau, multiplicity) pairs by
+increasing tau_2: by reciprocity the good filtration of the injective
+envelope, and every oracle reads that one list (``quotient_column`` for
+the layer under the twist).  An injective character sums its induced
+modules as runs of ones, the divisibility index is its least tau_2, and a
+weight is critical when its first tau is (r, 0).  The simple vectors serve
+``simple_character``, the symmetric-power recursion and the peeling bases,
+so peeling against them and the columns are two independent evaluations of
+the tensor product theorem.  Only ``_vector_character`` builds a
+:class:`Character`; tableaux, dict peeling and the suites' dict arithmetic
+are the oracles for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -63,7 +62,7 @@ from typing import Optional
 
 from .characters import Character, PeelError
 from .injectivity import injectivity_criterion
-from .weights import GroupParams, Weight, _int_weight, _split, digit_expansion, omega
+from .weights import GroupParams, Weight, _int_weight, _split, check_partition, digit_expansion, omega
 
 
 class OracleMismatch(Exception):
@@ -76,15 +75,11 @@ TOP_DIGIT_SMALL = "top_digit_small"
 
 def _check_weight(lam):
     """``lam`` as a rank-2 dominant polynomial :class:`Weight`, or a
-    ValueError.  A Weight is returned as it is, with no copy, so the check
-    on a weight that is already a Weight is two comparisons."""
+    ValueError.  A Weight is returned as it is, with no copy."""
     lam = Weight(lam)
     if lam.n != 2:
         raise ValueError("rank-2 routine got a rank-%d weight" % lam.n)
-    a, b = lam
-    if not a >= b >= 0:
-        raise ValueError("expected a dominant polynomial weight, got %r" % (lam,))
-    return lam
+    return check_partition(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 from .characters import Character, _pack, _unpack
-from .weights import Weight
+from .weights import Weight, check_partition
 
 
 @lru_cache(maxsize=None)
@@ -69,18 +69,11 @@ def _h_character(r, n):
     return Character(n, {c: 1 for c in compositions(r, n)})
 
 
-def _check_partition(lam):
-    lam = Weight(lam)
-    if not (lam.is_dominant() and lam.is_polynomial()):
-        raise ValueError("expected a partition (dominant polynomial weight), got %r" % (lam,))
-    return lam
-
-
 def schur_character(lam):
     """Schur character of ``lam`` in ``lam.n`` variables: the rank-2 closed
     form, else the sum of the content monomials of all semistandard
     tableaux of shape ``lam``."""
-    lam = _check_partition(lam)
+    lam = check_partition(lam)
     if lam.n == 2:
         a, b = lam
         return Character._from_clean(2, {(a + b - k, k): 1 for k in range(b, a + 1)})
@@ -95,7 +88,7 @@ def tableau_count(lam):
     soon as they are in, so every partial count is the dimension of the
     rank-(j+1) module of highest weight lam_1..lam_(j+1), an integer no
     larger than the answer."""
-    lam = _check_partition(lam)
+    lam = check_partition(lam)
     count = 1
     for j in range(1, lam.n):
         for i in range(j):
@@ -180,7 +173,7 @@ def schur_character_jt(lam):
     product in the expansion has degree |lam|, so one base packs them all,
     and exponents are unpacked once per returned term.  The base is the
     power of two above |lam|, which determinants of nearby degrees share."""
-    lam = _check_partition(lam)
+    lam = check_partition(lam)
     n = lam.n
     base = 1 << lam.degree().bit_length()
     total = {}
@@ -200,7 +193,7 @@ def pieri_expand(lam, r):
     """The partitions mu with s_lam * h_r = sum of s_mu: those adding a
     horizontal strip of size ``r`` to ``lam``.  Multiplicity-free;
     returned in lex-descending order."""
-    lam = _check_partition(lam)
+    lam = check_partition(lam)
     if r < 0:
         raise ValueError("strip size must be nonnegative")
     n = lam.n
@@ -239,7 +232,7 @@ def sym_tensor_nabla_mult(alpha, lam):
     """Good-filtration multiplicity of the induced module of highest weight
     ``lam`` in the tensor product of symmetric powers prescribed by the
     composition ``alpha``."""
-    lam = _check_partition(lam)
+    lam = check_partition(lam)
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("composition entries must be nonnegative")

@@ -101,6 +101,15 @@ def _int_weight(entries):
     return tuple.__new__(Weight, entries)
 
 
+def check_partition(lam):
+    """``lam`` as a dominant polynomial :class:`Weight` (a partition), or a
+    ValueError.  A Weight is returned as it is, with no copy."""
+    lam = Weight(lam)
+    if lam[-1] < 0 or not lam.is_dominant():
+        raise ValueError("expected a dominant polynomial weight, got %r" % (lam,))
+    return lam
+
+
 def omega(n):
     """The all-ones weight (1, ..., 1), the exponent of the determinant."""
     return _int_weight((1,) * n)
@@ -289,10 +298,7 @@ class DigitExpansion:
 
 def digit_expansion(lam, params):
     """Expand a polynomial dominant weight into its mixed-base digits."""
-    lam = Weight(lam)
-    if not (lam.is_dominant() and lam.is_polynomial()):
-        raise ValueError("digit expansion needs a polynomial dominant weight, got %r" % (lam,))
-    lam0, lbar = _split(lam, params.e)
+    lam0, lbar = _split(check_partition(lam), params.e)
     p = params.p
     if p == 0:
         digits = (lbar,)

@@ -1,14 +1,18 @@
 """Byte-exact CLI outputs: every recorded command line prints the same
 stdout and exits with the same code; a case with a ``stderr`` field also
-prints the same stderr.  Help text, which argparse writes to
-``sys.stdout``, counts as stdout.  Terminal width is pinned to 80 columns
-because argparse wraps help and usage lines at it.  After an intended
-output change, regenerate the data with
-``PYTHONPATH=src python tests/test_cli_golden.py``, which prints the
-command line of every case whose recorded output changed; to cover stderr
-in a new case, give it a ``stderr`` field (any value) before regenerating."""
+prints the same stderr.  A case records its stdout either whole, as
+``stdout``, or, when it is large, as ``stdout_sha256``, the hex sha256 of
+its UTF-8 bytes.  Help text, which argparse writes to ``sys.stdout``,
+counts as stdout.  Terminal width is pinned to 80 columns because argparse
+wraps help and usage lines at it.  After an intended output change,
+regenerate the data with ``PYTHONPATH=src python tests/test_cli_golden.py``,
+which rewrites the fields each case has and prints the command line of
+every case whose recorded output changed.  To add a case, give it ``argv``,
+``rc`` and ``stdout`` or ``stdout_sha256`` (and ``stderr`` to cover stderr),
+any values, before regenerating."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -30,13 +34,16 @@ def run(argv):
 
 
 def expected(case):
-    return (case["rc"], case["stdout"]) + ((case["stderr"],) if "stderr" in case else ())
+    return {key: value for key, value in case.items() if key != "argv"}
 
 
 def recorded(case, got):
     """``got`` cut down to the fields ``case`` records."""
     rc, stdout, stderr = got
-    return (rc, stdout, stderr) if "stderr" in case else (rc, stdout)
+    fields = {"rc": rc, "stdout": stdout, "stderr": stderr}
+    if "stdout_sha256" in case:
+        fields["stdout_sha256"] = hashlib.sha256(stdout.encode()).hexdigest()
+    return {key: fields[key] for key in expected(case)}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(case["argv"]) for case in CASES])
@@ -86,12 +93,10 @@ def test_subcommand_parser_matches_full_parser(argv, monkeypatch):
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     for case in CASES:
-        rc, stdout, stderr = got = run(case["argv"])
-        if recorded(case, got) != expected(case):
+        got = recorded(case, run(case["argv"]))
+        if got != expected(case):
             print("changed: " + " ".join(case["argv"]))
-        case["rc"], case["stdout"] = rc, stdout
-        if "stderr" in case:
-            case["stderr"] = stderr
+        case.update(got)
     with open(DATA, "w") as fh:
         json.dump(CASES, fh, indent=1)
         fh.write("\n")

@@ -28,8 +28,8 @@ from polyinj.gl2 import (
     standard_form_character,
     sympow_character_recursive,
 )
-from polyinj.schur import h_character, partitions, schur_character
-from polyinj.weights import GroupParams, Weight, eadic_split, omega
+from polyinj.schur import h_character, partitions, schur_character, tableau_count
+from polyinj.weights import GroupParams, Weight, digit_expansion, eadic_split, omega
 
 P12 = GroupParams(1, 2)
 P13 = GroupParams(1, 3)
@@ -71,21 +71,34 @@ def test_simple_character_rejects_bad_weights():
         simple_character(W(1, 0, 0), P12)
 
 
+def classify_rank_n(lam):
+    args = cli.parse_args(["classify", "--weight", ",".join(map(str, lam)), "--l", "1", "--p", "2"])
+    return args.func(args)
+
+
 @pytest.mark.parametrize(
-    "lam, message",
+    "check, lam, message",
     [
-        (W(1, 0, 0), "rank-2 routine got a rank-3 weight"),
-        (W(1, 2), "expected a dominant polynomial weight"),
-        (W(-1, -2), "expected a dominant polynomial weight"),
-        (W(0, -1), "expected a dominant polynomial weight"),
-        ((1, 2), "expected a dominant polynomial weight"),
-        ([-1, -2], "expected a dominant polynomial weight"),
-        ((1, 0.5), "not an integer"),
+        (gl2._check_weight, W(1, 0, 0), "rank-2 routine got a rank-3 weight"),
+        (gl2._check_weight, W(1, 2), "expected a dominant polynomial weight"),
+        (gl2._check_weight, W(-1, -2), "expected a dominant polynomial weight"),
+        (gl2._check_weight, W(0, -1), "expected a dominant polynomial weight"),
+        (gl2._check_weight, (1, 2), "expected a dominant polynomial weight"),
+        (gl2._check_weight, [-1, -2], "expected a dominant polynomial weight"),
+        (gl2._check_weight, (1, 0.5), "not an integer"),
+        # every other entry point that needs a partition reads the one validator
+        (schur_character, W(2, 5), r"expected a dominant polynomial weight, got Weight\(2, 5\)$"),
+        (tableau_count, W(1, 2, 0), r"expected a dominant polynomial weight, got Weight\(1, 2, 0\)$"),
+        (lambda lam: digit_expansion(lam, P12), W(3, -1),
+         r"expected a dominant polynomial weight, got Weight\(3, -1\)$"),
+        (classify_rank_n, W(1, 2, 3), r"expected a dominant polynomial weight, got Weight\(1, 2, 3\)$"),
     ],
+    ids=["rank-3", "ascending", "negative", "last-negative", "tuple", "list", "float",
+         "schur_character", "tableau_count", "digit_expansion", "classify-rank-3"],
 )
-def test_check_weight_rejects(lam, message):
+def test_check_weight_rejects(check, lam, message):
     with pytest.raises(ValueError, match=message):
-        gl2._check_weight(lam)
+        check(lam)
 
 
 def test_check_weight_accepts_and_coerces():
