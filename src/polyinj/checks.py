@@ -3,15 +3,20 @@
 Each suite pits a closed form against an independent oracle (or checks a
 structural identity) over a full grid of weights and parameter sets, and
 reports the instance count plus the first few counterexamples.  Each
-suite is declared once, in :data:`SUITES`, which drives both the
-``selfcheck`` CLI command and the acceptance tests.
+suite is declared once, in :data:`SUITES`: its name, its degree bound and
+whether it takes the (l, p) grid.
 
-:func:`run_suite` is the one runner.  It builds the :class:`SuiteResult`
-under the registry name and hands it to ``check_<name>(res, deg_max[,
-grid])``, which counts instances and records failures on it and returns
-it.  The rank-2 suites iterate over :func:`_sweep`, which yields every
-``(lam, params)`` pair and records it on the result as the instance under
-test.  The rank-generic suites walk it too, at ranks 1..N_MAX and with
+:func:`run_suite` is the one runner.  It takes a registry name and runs
+that suite at exactly the degree it is given, past the bound too: it
+builds the :class:`SuiteResult` under the name and hands it to
+``check_<name>(res, deg_max[, grid])``, which counts instances and
+records failures on it and returns it.  :func:`run_all`, which the
+``selfcheck`` command calls, runs every suite in registry order, each
+capped at its bound.
+
+The rank-2 suites iterate over :func:`_sweep`, which yields every
+``(lam, params)`` pair and records it on the result as the instance
+under test.  The rank-generic suites walk it too, at ranks 1..N_MAX and with
 no parameters.  A suite that raises keeps its partial count, and the
 runner adds one failure naming the instance and the exception, e.g.
 ``suite crashed after 19 instances at Weight(5, 2) l=1,p=2:
@@ -64,32 +69,33 @@ KERNEL_GRID = (
     GroupParams(3, 3),
 )
 
-# The registry: every suite once, as (name, default degree bound, grid),
-# in selfcheck order.  The grid is None for suites that take none and
-# "params" for those handed the run's (l, p) grid.
+# The registry: every suite once, by name, as (degree bound, grid), in
+# selfcheck order.  The grid is None for suites that take none and
+# "params" for those handed the run's (l, p) grid.  The bound is only
+# selfcheck's cap (run_all); run_suite runs a suite at any degree.
 # ``check_<name>`` is looked up in the module globals when the suite runs,
 # never stored here, and called as check_<name>(res, deg_max[, grid]).
-SUITES = (
-    ("eadic-roundtrip", 30, None),
-    ("dominance-order", 12, None),
-    ("digit-expansion", 30, "params"),
-    ("character-ring", 10, None),
-    ("schur-agreement", 12, None),
-    ("pieri-products", 10, None),
-    ("sym-tensor-support", 8, None),
-    ("divind-equivalence", 40, "params"),
-    ("criticality-equivalence", 40, "params"),
-    ("injectivity-equivalence", 40, "params"),
-    ("sympow-recursion", 60, "params"),
-    ("peeling-soundness", 40, "params"),
-    ("simple-divind", 20, "params"),
-    ("divisibility-shift", 20, "params"),
-    ("standard-form", 20, "params"),
-    ("necessary-inequality", 30, "params"),
-    ("higher-kernels", 20, "params"),
-    ("criterion-layer", 40, "params"),
-    ("table-determinism", 15, None),
-)
+SUITES = {
+    "eadic-roundtrip": (30, None),
+    "dominance-order": (12, None),
+    "digit-expansion": (30, "params"),
+    "character-ring": (10, None),
+    "schur-agreement": (12, None),
+    "pieri-products": (10, None),
+    "sym-tensor-support": (8, None),
+    "divind-equivalence": (40, "params"),
+    "criticality-equivalence": (40, "params"),
+    "injectivity-equivalence": (40, "params"),
+    "sympow-recursion": (60, "params"),
+    "peeling-soundness": (40, "params"),
+    "simple-divind": (20, "params"),
+    "divisibility-shift": (20, "params"),
+    "standard-form": (20, "params"),
+    "necessary-inequality": (30, "params"),
+    "higher-kernels": (20, "params"),
+    "criterion-layer": (40, "params"),
+    "table-determinism": (15, None),
+}
 
 N_MAX = 4  # highest rank of the rank-generic suites
 EADIC_BASES = (2, 3, 5)
@@ -541,15 +547,16 @@ def check_table_determinism(res, deg_max):
     return res
 
 
-def run_suite(suite, deg_max, grid):
-    """Run one registry entry with its degree bound capped at ``deg_max``
-    on the (l, p) pairs of ``grid``, recording into a fresh
-    :class:`SuiteResult` under the registry name.  A suite blowing up is
-    itself a failure on that result: the instances counted so far stay,
-    and the message names the instance under test and the exception."""
-    name, bound, kind = suite
+def run_suite(name, deg_max, grid):
+    """Run the registry suite ``name`` at exactly ``deg_max``, on the (l, p)
+    pairs of ``grid`` if its registry entry takes a grid, recording into a
+    fresh :class:`SuiteResult` under that name.  An unregistered name
+    raises ``KeyError``.  A suite blowing up is itself a failure on that
+    result: the instances counted so far stay, and the message names the
+    instance under test and the exception."""
+    kind = SUITES[name][1]
     res = SuiteResult(name)
-    args = (res, min(deg_max, bound)) + ((grid,) if kind == "params" else ())
+    args = (res, deg_max) + ((grid,) if kind == "params" else ())
     try:
         globals()["check_" + name.replace("-", "_")](*args)
     except Exception as exc:  # a crashed suite must not kill the report
@@ -560,6 +567,6 @@ def run_suite(suite, deg_max, grid):
 
 
 def run_all(deg_max=20, grid=PARAM_GRID):
-    """Run every registered suite in order.  Returns the list of
-    :class:`SuiteResult`."""
-    return [run_suite(suite, deg_max, grid) for suite in SUITES]
+    """Run every registered suite in order, each at ``deg_max`` capped at
+    its registry bound.  Returns the list of :class:`SuiteResult`."""
+    return [run_suite(name, min(deg_max, bound), grid) for name, (bound, _) in SUITES.items()]

@@ -1,12 +1,21 @@
 """Acceptance suite: every verification gate at full desk scale.
 
-Every registered suite (closed form against independent oracle, or a
-structural character identity) runs at its registry bound over the
-standard parameter grid, through the same dispatch as ``selfcheck``, and
-prints a PASS line.  All comparisons are exact integer or character
-equality; there are no tolerances anywhere.
+Tier-1 runs each suite of the registry ``checks.SUITES`` (closed form
+against independent oracle, or a structural character identity) once at
+its registry bound over the standard parameter grid.
+``checks.run_suite`` runs a suite by its registry name at exactly the
+degree it is given, and ``checks.run_all``, which ``selfcheck`` calls,
+runs every suite capped at its bound.  So the golden case of the
+full-grid ``selfcheck`` line in ``tests/data/cli_golden.json`` (today
+``--deg-max 40``) already runs each suite whose bound is at most that
+degree at its bound, and pins its status and instance count.  This
+module runs the suites whose bound is higher, reading that degree from
+the corpus, each printing a PASS line, and pins the runner's contract.
+All comparisons are exact integer or character equality; there are no
+tolerances anywhere.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +27,19 @@ from polyinj import checks
 from polyinj.gl2 import is_gm_injective
 from polyinj.weights import GroupParams, Weight
 
-SUITES = {suite[0]: suite for suite in checks.SUITES}
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def _golden_selfcheck_deg_max():
+    """The highest ``--deg-max`` of a passing full-grid ``selfcheck`` line
+    of the golden corpus, or -1 if it has none."""
+    argvs = [case["argv"] for case in json.loads(GOLDEN.read_text()) if case["rc"] == 0]
+    return max((int(argv[argv.index("--deg-max") + 1]) for argv in argvs
+                if argv[0] == "selfcheck" and "--deg-max" in argv and "--l" not in argv),
+               default=-1)
+
+
+BEYOND_GOLDEN = [name for name, (bound, _) in checks.SUITES.items() if bound > _golden_selfcheck_deg_max()]
 
 
 def _require(result):
@@ -26,11 +47,35 @@ def _require(result):
     print("PASS %s (%d instances)" % (result.name, result.instances))
 
 
-@pytest.mark.parametrize("suite", checks.SUITES, ids=[suite[0] for suite in checks.SUITES])
-def test_suite_at_registry_bound(suite):
+@pytest.mark.parametrize("name", BEYOND_GOLDEN)
+def test_suite_at_registry_bound(name):
     """The suite at its registry bound over (l,p) in {(1,2),(1,3),(1,5),
-    (2,3),(3,2),(2,0),(3,0)}; higher-kernels on the positive-p pairs."""
-    _require(checks.run_suite(suite, suite[1], checks.PARAM_GRID))
+    (2,3),(3,2),(2,0),(3,0)}, for each suite whose bound is above the
+    golden full-grid selfcheck degree."""
+    _require(checks.run_suite(name, checks.SUITES[name][0], checks.PARAM_GRID))
+
+
+def test_run_suite_runs_at_the_degree_given(monkeypatch):
+    """run_suite runs a registered suite at exactly the degree it is given,
+    past its registry bound, and raises on an unregistered name; run_all
+    hands each suite min(deg_max, bound)."""
+    grid = (GroupParams(1, 2),)
+    assert checks.run_suite("sympow-recursion", 70, grid).instances == 71
+    with pytest.raises(KeyError):
+        checks.run_suite("sympow", 70, grid)
+    handed = {}
+
+    def record(res, deg_max, *_):
+        handed[res.name] = deg_max
+        return res
+
+    for name in checks.SUITES:
+        if name != "sympow-recursion":
+            monkeypatch.setattr(checks, "check_" + name.replace("-", "_"), record)
+    counts = {res.name: res.instances for res in checks.run_all(70, grid)}
+    assert counts["sympow-recursion"] == 61
+    assert handed == {name: min(70, bound) for name, (bound, _) in checks.SUITES.items()
+                      if name != "sympow-recursion"}
 
 
 def test_registry_is_complete(monkeypatch):
@@ -38,7 +83,7 @@ def test_registry_is_complete(monkeypatch):
     registry in order through the module attributes (which a tracer may
     wrap), and each suite returns the very result it was handed, named
     after its registry entry."""
-    registered = {"check_" + name.replace("-", "_") for name in SUITES}
+    registered = {"check_" + name.replace("-", "_") for name in checks.SUITES}
     public = {name for name in vars(checks) if name.startswith("check_")}
     assert public == registered
     calls = []
@@ -52,7 +97,7 @@ def test_registry_is_complete(monkeypatch):
     for attr in registered:
         monkeypatch.setattr(checks, attr, recording(getattr(checks, attr)))
     results = checks.run_all(0)
-    assert [r.name for r in results] == list(SUITES)
+    assert [r.name for r in results] == list(checks.SUITES)
     assert len(calls) == len(results)
     assert all(handed is returned is res for (handed, returned), res in zip(calls, results))
 
@@ -63,8 +108,7 @@ def test_higher_kernel_monotonicity_and_instance():
     sets with p in {2, 3}, at the registry bound; and the worked instance:
     (2,1) at l=1, p=2 is injective over the first kernel but not the
     second."""
-    suite = SUITES["higher-kernels"]
-    _require(checks.run_suite(suite, suite[1], checks.KERNEL_GRID))
+    _require(checks.run_suite("higher-kernels", checks.SUITES["higher-kernels"][0], checks.KERNEL_GRID))
     lam = Weight((2, 1))
     assert is_gm_injective(lam, 1, GroupParams(1, 2)) is True
     assert is_gm_injective(lam, 2, GroupParams(1, 2)) is False
@@ -76,7 +120,7 @@ def test_table_output_deterministic():
     interpreter runs under different hash seeds (in-process re-rendering is
     the suite itself; row generation is sequential and sorted, so thread
     count cannot influence it)."""
-    deg_max = str(SUITES["table-determinism"][1])
+    deg_max = str(checks.SUITES["table-determinism"][0])
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = {}
     for fmt in ("text", "csv"):

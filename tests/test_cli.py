@@ -247,17 +247,6 @@ def test_table_json_matches_library():
         assert row["gm_flags"] == [gl2.is_gm_injective(lam, m, params) for m in (1, 2)]
 
 
-def test_table_in_process_determinism():
-    result = checks.run_suite(("table-determinism", 8, None), 8, ())
-    assert result.ok, result.failures
-
-
-def test_selfcheck_small_grid():
-    rc, out = run(["selfcheck", "--deg-max", "2", "--l", "1", "--p", "2"])
-    assert rc == 0
-    assert "selfcheck:" in out and "0 failed" in out
-
-
 def test_selfcheck_reports_corrupted_closed_form(monkeypatch):
     """A deliberately corrupted divisibility closed form must be caught and
     named by the equivalence suite, with a nonzero exit."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinj import checks, cli, gl2
-from polyinj.characters import Character, PeelError, frobenius_twist, min_last_entry, peel_into_basis
+from polyinj.characters import Character, PeelError, frobenius_twist, peel_into_basis
 from polyinj.checks import WIDE_GRID
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
@@ -197,7 +197,7 @@ def test_simple_vectors_are_memoized_per_sl2_weight():
 def test_peeling_soundness_wide_grid():
     """Peeling agrees with the decomposition numbers over the wide grid, up to
     degree 60."""
-    result = checks.run_suite(("peeling-soundness", 60, "params"), 60, WIDE_GRID)
+    result = checks.run_suite("peeling-soundness", 60, WIDE_GRID)
     assert result.ok, result.failures
 
 
@@ -286,8 +286,8 @@ def test_vector_characters_match_dict_formulas_wide_grid():
         for r in range(31):
             for lam in partitions(r, 2):
                 expected = Character.zero(2)
-                for tau in partitions(r, 2):
-                    expected = expected + decomposition_number(tau, lam, params) * schur_character(tau)
+                for tau, m in gl2.decomposition_column(lam, params):
+                    expected = expected + m * schur_character(tau)
                 assert injective_character(lam, params) == expected, (lam, params)
                 if not is_inf_injective_closed(lam, params):
                     continue
@@ -618,10 +618,9 @@ def test_necessary_inequality_reads_one_column_per_weight(monkeypatch):
         return original(lam, params)
 
     monkeypatch.setattr(gl2, "_column", counted)
-    suite = ("necessary-inequality", 30, "params")
     for params in checks.PARAM_GRID:
         calls.clear()
-        result = checks.run_suite(suite, 30, (params,))
+        result = checks.run_suite("necessary-inequality", 30, (params,))
         assert result.ok and result.instances > 0, result.failures
         expected = [(eadic_split(lam, params.e)[1], params.classical())
                     for r in range(31) for lam in partitions(r, 2)
@@ -652,7 +651,7 @@ def test_quotient_layer_is_read_from_quotient_column(monkeypatch):
         standard_form_character(desc, params)
         assert calls == [(desc.bar_weight, params)]
         calls.clear()
-        result = checks.run_suite(("necessary-inequality", 9, "params"), 9, (params,))
+        result = checks.run_suite("necessary-inequality", 9, (params,))
         assert result.ok and len(calls) == result.instances > 0, result.failures
 
 
@@ -681,14 +680,6 @@ def test_classify_consistency_bounds():
 
 # ---------------------------------------------------------------------------
 # character-level identities
-
-
-def test_simple_and_induced_divisibility_is_last_entry():
-    for params in (P12, P32, P20):
-        for r in range(10):
-            for lam in partitions(r, 2):
-                assert min_last_entry(simple_character(lam, params)) == lam[1]
-                assert min_last_entry(schur_character(lam)) == lam[1]
 
 
 def test_injective_character_determinant_shift():
