@@ -15,6 +15,7 @@ All comparisons are exact integer or character equality; there are no
 tolerances anywhere.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -55,27 +56,61 @@ def test_suite_at_registry_bound(name):
     _require(checks.run_suite(name, checks.SUITES[name][0], checks.PARAM_GRID))
 
 
-def test_run_suite_runs_at_the_degree_given(monkeypatch):
+def test_run_suite_runs_past_the_bound():
     """run_suite runs a registered suite at exactly the degree it is given,
-    past its registry bound, and raises on an unregistered name; run_all
-    hands each suite min(deg_max, bound)."""
-    grid = (GroupParams(1, 2),)
-    assert checks.run_suite("sympow-recursion", 70, grid).instances == 71
+    past its registry bound."""
+    res = checks.run_suite("sympow-recursion", 70, (GroupParams(1, 2),))
+    _require(res)
+    assert res.instances == 71
+
+
+def test_run_suite_rejects_an_unregistered_name():
     with pytest.raises(KeyError):
-        checks.run_suite("sympow", 70, grid)
+        checks.run_suite("sympow", 70, (GroupParams(1, 2),))
+
+
+def _stub_suites(monkeypatch, keep=()):
+    """Replace every suite function but those named in ``keep`` by a stub
+    that records the arguments after the result, keyed by suite name."""
     handed = {}
 
-    def record(res, deg_max, *_):
-        handed[res.name] = deg_max
+    def record(res, *args):
+        handed[res.name] = args
         return res
 
     for name in checks.SUITES:
-        if name != "sympow-recursion":
+        if name not in keep:
             monkeypatch.setattr(checks, "check_" + name.replace("-", "_"), record)
-    counts = {res.name: res.instances for res in checks.run_all(70, grid)}
+    return handed
+
+
+def test_run_all_caps_each_suite_at_its_bound(monkeypatch):
+    """run_all hands a suite min(deg_max, bound): sympow-recursion, bound
+    60, counts 61 instances at deg_max 70 where run_suite counts 71."""
+    _stub_suites(monkeypatch, keep=("sympow-recursion",))
+    counts = {res.name: res.instances for res in checks.run_all(70, (GroupParams(1, 2),))}
     assert counts["sympow-recursion"] == 61
-    assert handed == {name: min(70, bound) for name, (bound, _) in checks.SUITES.items()
-                      if name != "sympow-recursion"}
+
+
+@pytest.mark.parametrize("name", list(checks.SUITES))
+def test_suite_is_handed_its_degree_and_grid(name, monkeypatch):
+    """The suite function takes a grid exactly when its registry entry
+    says "params"; run_suite hands it the degree it is given and that grid,
+    and run_all the degree capped at the registry bound."""
+    bound, kind = checks.SUITES[name]
+    check = getattr(checks, "check_" + name.replace("-", "_"))
+    takes = ["res", "deg_max"] + (["grid"] if kind == "params" else [])
+    assert list(inspect.signature(check).parameters) == takes
+    grid = (GroupParams(1, 2),)
+    passed = (grid,) if kind == "params" else ()
+    handed = _stub_suites(monkeypatch)
+    assert checks.run_suite(name, bound + 10, grid).name == name
+    assert handed == {name: (bound + 10,) + passed}
+    handed.clear()
+    checks.run_all(bound + 10, grid)
+    assert handed[name] == (bound,) + passed
+    checks.run_all(bound - 1, grid)
+    assert handed[name] == (bound - 1,) + passed
 
 
 def test_registry_is_complete(monkeypatch):
