@@ -39,10 +39,8 @@ from .schur import (
     compositions,
     h_character,
     partitions,
-    pieri_expand,
     schur_character,
     schur_character_jt,
-    sym_tensor_nabla_mult,
 )
 from .weights import (
     DigitExpansion,
@@ -91,12 +89,10 @@ __all__ = [
     "omega",
     "partitions",
     "peel_into_basis",
-    "pieri_expand",
     "schur_character",
     "schur_character_jt",
     "simple_character",
     "standard_form",
     "standard_form_character",
-    "sym_tensor_nabla_mult",
     "sympow_character_recursive",
 ]

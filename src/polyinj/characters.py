@@ -40,12 +40,17 @@ class Character:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exp, mult in items:
-                # entries coerced as Weight's are: a numpy integer becomes
-                # an exact int, and a non-integral entry is a ValueError
+                # entries and multiplicities coerced as Weight's entries are:
+                # a numpy integer becomes an exact int, and a non-integral
+                # value is a ValueError
                 try:
                     exp = tuple(map(index, exp))
                 except TypeError:
                     raise ValueError("exponent %r has a non-integer entry" % (exp,)) from None
+                try:
+                    mult = index(mult)
+                except TypeError:
+                    raise ValueError("multiplicity %r at %r is not an integer" % (mult, exp)) from None
                 if len(exp) != n:
                     raise ValueError("exponent %r has wrong length for n=%d" % (exp, n))
                 m = clean.get(exp, 0) + mult
@@ -168,15 +173,6 @@ class Character:
             raise ValueError("twist factor must be a positive integer")
         return Character._from_clean(
             self.n, {tuple(factor * a for a in exp): m for exp, m in self._terms.items()})
-
-    def is_symmetric(self):
-        """True iff the term map is invariant under entry permutations."""
-        from itertools import permutations
-
-        for exp, m in self._terms.items():
-            if any(self._terms.get(other, 0) != m for other in set(permutations(exp))):
-                return False
-        return True
 
     def sorted_terms(self):
         """Terms in lex-descending exponent order."""

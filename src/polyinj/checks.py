@@ -31,16 +31,7 @@ from dataclasses import dataclass, field
 
 from . import gl2, injectivity
 from .characters import Character, PeelError, frobenius_twist, min_last_entry, peel_into_basis
-from .schur import (
-    _schur_ssyt,
-    compositions,
-    h_character,
-    partitions,
-    pieri_expand,
-    schur_character,
-    schur_character_jt,
-    sym_tensor_nabla_mult,
-)
+from .schur import _schur_ssyt, h_character, partitions, schur_character, schur_character_jt
 from .weights import GroupParams, Weight, digit_expansion, dominance_leq, eadic_split, is_column_regular, omega
 
 PARAM_GRID = (
@@ -81,8 +72,6 @@ SUITES = {
     "digit-expansion": (30, "params"),
     "character-ring": (10, None),
     "schur-agreement": (12, None),
-    "pieri-products": (10, None),
-    "sym-tensor-support": (8, None),
     "divind-equivalence": (40, "params"),
     "criticality-equivalence": (40, "params"),
     "injectivity-equivalence": (40, "params"),
@@ -288,39 +277,6 @@ def check_schur_agreement(res, deg_max):
             res.fail("schur_character vs tableaux disagree at %r" % (lam,))
         if chi != schur_character_jt(lam):
             res.fail("schur_character vs determinant disagree at %r" % (lam,))
-    return res
-
-
-def check_pieri_products(res, deg_max):
-    """s_lam * h_r equals the multiplicity-free sum over the horizontal-strip
-    expansion."""
-    for lam, _ in _sweep(res, deg_max, (None,), range(1, N_MAX + 1)):
-        for r in range(deg_max - lam.degree() + 1):
-            res.count()
-            expansion = pieri_expand(lam, r)
-            if len(set(expansion)) != len(expansion):
-                res.fail("expansion of %r + strip %d not multiplicity-free" % (lam, r))
-            total = Character.zero(lam.n)
-            for mu in expansion:
-                total = total + schur_character(mu)
-            if total != schur_character(lam) * h_character(r, lam.n):
-                res.fail("strip expansion of %r + %d wrong" % (lam, r))
-    return res
-
-
-def check_sym_tensor_support(res, deg_max):
-    """The m-fold symmetric-power tensor products of degree r contain the
-    induced module of highest weight lam iff lam has at most m nonzero
-    parts."""
-    for n in range(1, N_MAX + 1):
-        for m in range(1, n + 1):
-            for lam, _ in _sweep(res, deg_max, (None,), (n,)):
-                res.count()
-                alphas = compositions(lam.degree(), m)
-                total = sum(sym_tensor_nabla_mult(alpha, lam) for alpha in alphas)
-                expected = all(a == 0 for a in lam[m:])
-                if bool(total) != expected:
-                    res.fail("support criterion fails at n=%d m=%d %r" % (n, m, lam))
     return res
 
 

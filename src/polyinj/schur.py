@@ -6,9 +6,7 @@ the branching rule, and by the Jacobi-Trudi determinant in complete
 homogeneous characters, whose products add packed integer exponents.
 Neither route calls the other.  At rank 2 :func:`schur_character` uses
 the closed form instead (s_(a,b) is the run of monomials x^(a+b-k) y^k for
-b <= k <= a), and both routes stay as its oracles.  Pieri products of a
-Schur character with a complete homogeneous character and good-filtration
-multiplicities of tensor products of symmetric powers are built on top.
+b <= k <= a), and both routes stay as its oracles.
 """
 
 from __future__ import annotations
@@ -187,59 +185,3 @@ def schur_character_jt(lam):
             total[key] = get(key, 0) + sign * m
     lo = (0,) * n
     return Character._from_clean(n, {_unpack(key, lo, base): m for key, m in total.items() if m})
-
-
-def pieri_expand(lam, r):
-    """The partitions mu with s_lam * h_r = sum of s_mu: those adding a
-    horizontal strip of size ``r`` to ``lam``.  Multiplicity-free;
-    returned in lex-descending order."""
-    lam = check_partition(lam)
-    if r < 0:
-        raise ValueError("strip size must be nonnegative")
-    n = lam.n
-    out = []
-    mu = list(lam)
-    # depth-first over (row i, its new length, strip left before row i), the
-    # largest length walked first; once the strip is placed, lam is kept below
-    stack = [(0, v, r) for v in range(lam[0], lam[0] + r + 1)]
-    while stack:
-        i, v, excess = stack.pop()
-        mu[i] = v
-        excess -= v - lam[i]
-        if not excess:
-            out.append(Weight(mu[:i + 1] + list(lam[i + 1:])))
-        elif i + 1 < n:
-            hi = min(lam[i + 1] + excess, lam[i])
-            stack.extend((i + 1, w, excess) for w in range(lam[i + 1], hi + 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _iterated_pieri(alpha, n):
-    """Multiset of good-filtration factors of S^{alpha_1}E x S^{alpha_2}E x ...,
-    keyed by highest weight.  ``alpha`` must be sorted, zero-free."""
-    factors = {Weight((0,) * n): 1}
-    for a in alpha:
-        nxt = {}
-        for mu, c in factors.items():
-            for nu in pieri_expand(mu, a):
-                nxt[nu] = nxt.get(nu, 0) + c
-        factors = nxt
-    return factors
-
-
-def sym_tensor_nabla_mult(alpha, lam):
-    """Good-filtration multiplicity of the induced module of highest weight
-    ``lam`` in the tensor product of symmetric powers prescribed by the
-    composition ``alpha``."""
-    lam = check_partition(lam)
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("composition entries must be nonnegative")
-    if sum(alpha) != lam.degree():
-        raise ValueError(
-            "degree mismatch: composition of %d vs weight of degree %d"
-            % (sum(alpha), lam.degree())
-        )
-    key = tuple(sorted((a for a in alpha if a), reverse=True))
-    return _iterated_pieri(key, lam.n).get(lam, 0)

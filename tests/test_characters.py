@@ -177,6 +177,25 @@ def test_numpy_exponent_twist_does_not_overflow():
     assert all(type(a) is int for exp in chi.support() for a in exp)
 
 
+def test_multiplicities_are_plain_ints():
+    """Multiplicities are read with operator.index on the way in, as
+    exponent entries are: a non-integral one is a ValueError rather than a
+    term that prints truncated, and an integer-like one becomes an int."""
+    for mult in (1.5, 0.5, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            Character(2, {(1, 0): mult})
+    with pytest.raises(ValueError, match="not an integer"):
+        character_from_json([{"exponent": [1, 0], "mult": 1.5}])
+    chi = Character(2, {(1, 0): Index(3), (0, 1): Index(-2)})
+    assert chi == Character(2, {(1, 0): 3, (0, 1): -2})
+    assert all(type(m) is int for _, m in chi.items())
+    np = pytest.importorskip("numpy")
+    chi = character_from_json([{"exponent": [1, 0], "mult": np.int64(2)}])
+    assert list(chi.items()) == [((1, 0), 2)]
+    assert type(chi.coeff((1, 0))) is int
+    assert str(chi) == "2 * (1,0)"
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         X_PLUS_Y + Character.one(3)
@@ -404,12 +423,6 @@ def test_factor_and_weight_divisibility_agree():
         chi = simple_character(Weight(lam), params) * simple_character(Weight((2, 1)), params)
         factors = peel_into_basis(chi, basis)
         assert min(w[-1] for w in factors) == min_last_entry(chi)
-
-
-def test_is_symmetric():
-    assert X_PLUS_Y.is_symmetric()
-    assert schur_character(Weight((3, 1, 0))).is_symmetric()
-    assert not mono(1, 0).is_symmetric()
 
 
 def test_str_format():

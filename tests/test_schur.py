@@ -12,10 +12,8 @@ from polyinj.schur import (
     compositions,
     h_character,
     partitions,
-    pieri_expand,
     schur_character,
     schur_character_jt,
-    sym_tensor_nabla_mult,
     tableau_count,
 )
 from polyinj.weights import Weight
@@ -134,51 +132,6 @@ def test_schur_stability_under_variable_deletion():
                 assert restricted == schur_character(lam)
 
 
-@pytest.mark.parametrize(
-    "lam, r, expected",
-    [
-        ((1, 0), 1, [(2, 0), (1, 1)]),
-        ((0, 0, 0), 4, [(4, 0, 0)]),
-        ((2, 1), 2, [(4, 1), (3, 2)]),
-        ((2, 2), 1, [(3, 2)]),
-    ],
-)
-def test_pieri_examples(lam, r, expected):
-    assert pieri_expand(Weight(lam), r) == [Weight(mu) for mu in expected]
-
-
-def test_pieri_matches_character_product():
-    for n in (2, 3):
-        for d in range(6):
-            for lam in partitions(d, n):
-                for r in range(6 - d):
-                    total = Character.zero(n)
-                    for mu in pieri_expand(lam, r):
-                        total = total + schur_character(mu)
-                    assert total == schur_character(lam) * h_character(r, n)
-
-
-@pytest.mark.parametrize(
-    "alpha, lam, expected",
-    [
-        ((1, 1), (1, 1), 1),
-        ((2, 1), (2, 1), 1),
-        ((3,), (2, 1), 0),
-        ((2, 1, 0, 0), (2, 1), 1),  # trailing zeros are ignored
-        ((1, 2), (2, 1), 1),  # order of the composition does not matter
-    ],
-)
-def test_sym_tensor_nabla_mult(alpha, lam, expected):
-    assert sym_tensor_nabla_mult(alpha, Weight(lam)) == expected
-
-
-def test_sym_tensor_nabla_mult_degree_mismatch():
-    with pytest.raises(ValueError):
-        sym_tensor_nabla_mult((2, 2), Weight((2, 1)))
-    with pytest.raises(ValueError):
-        sym_tensor_nabla_mult((-1, 4), Weight((2, 1)))
-
-
 def test_partitions_enumeration():
     assert partitions(4, 2) == (Weight((4, 0)), Weight((3, 1)), Weight((2, 2)))
     assert partitions(0, 3) == (Weight((0, 0, 0)),)
@@ -190,14 +143,12 @@ def test_partitions_enumeration():
         assert all(p.is_dominant() and p.degree() == r for p in ps)
 
 
-def test_partitions_and_pieri_at_rank_1200():
-    """Both walks run deeper than a recursion over the parts could go."""
+def test_partitions_at_rank_1200():
+    """The walk runs deeper than a recursion over the parts could go."""
     n = 1200
     zeros = lambda k: (0,) * (n - k)
     assert partitions(3, n) == (Weight((3,) + zeros(1)), Weight((2, 1) + zeros(2)),
                                 Weight((1, 1, 1) + zeros(3)))
-    assert pieri_expand(Weight((1,) + zeros(1)), 2) == [Weight((3,) + zeros(1)),
-                                                        Weight((2, 1) + zeros(2))]
 
 
 def test_compositions_enumeration():
