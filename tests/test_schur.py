@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from polyinj.characters import Character
+from polyinj.characters import Character, peel_into_basis
 from polyinj.schur import (
     _h_character,
     _h_product,
@@ -130,6 +130,78 @@ def test_schur_stability_under_variable_deletion():
                     n - 1, {exp[:-1]: m for exp, m in chi.items() if exp[-1] == 0}
                 )
                 assert restricted == schur_character(lam)
+
+
+@pytest.mark.parametrize(
+    "lam, r, expected",
+    [
+        ((1, 0), 1, [(2, 0), (1, 1)]),
+        ((0, 0, 0), 4, [(4, 0, 0)]),
+        ((2, 1), 2, [(4, 1), (3, 2)]),
+        ((2, 2), 1, [(3, 2)]),
+    ],
+)
+def test_pieri_examples(lam, r, expected):
+    """Pieri's rule in the character ring: s_lam * h_r is the sum of the
+    Schur characters of the listed shapes, each once."""
+    lam = Weight(lam)
+    product = schur_character(lam) * h_character(r, lam.n)
+    assert peel_into_basis(product, schur_character) == {Weight(mu): 1 for mu in expected}
+
+
+def _horizontal_strips(lam, r):
+    """Shapes mu of degree |lam| + r in lam.n parts that interlace lam
+    (lam_i <= mu_i <= lam_{i-1}): lam plus a horizontal strip of r boxes."""
+    bounds = (float("inf"),) + tuple(lam)[:-1]
+    return [mu for mu in partitions(lam.degree() + r, lam.n)
+            if all(a <= m <= b for a, m, b in zip(lam, mu, bounds))]
+
+
+def test_pieri_matches_character_product():
+    for n in (2, 3):
+        for d in range(6):
+            for lam in partitions(d, n):
+                for r in range(6 - d):
+                    total = Character.zero(n)
+                    for mu in _horizontal_strips(lam, r):
+                        total = total + schur_character(mu)
+                    assert total == schur_character(lam) * h_character(r, n)
+
+
+def _sym_tensor_character(alpha, n):
+    """Character of S^alpha_1(V) (x) S^alpha_2(V) (x) ... for V of rank n."""
+    return functools.reduce(lambda chi, a: chi * h_character(a, n), alpha, Character.one(n))
+
+
+@pytest.mark.parametrize(
+    "alpha, lam, expected",
+    [
+        ((1, 1), (1, 1), 1),
+        ((2, 1), (2, 1), 1),
+        ((3,), (2, 1), 0),
+        ((2, 1, 0, 0), (2, 1), 1),  # zero parts are trivial factors
+        ((1, 2), (2, 1), 1),  # order of the composition does not matter
+    ],
+)
+def test_sym_tensor_good_filtration_multiplicity(alpha, lam, expected):
+    """Young's rule: nabla(lam) occurs in a good filtration of the tensor
+    product of the symmetric powers S^alpha_i(V) with multiplicity the
+    coefficient of s_lam in h_alpha."""
+    lam = Weight(lam)
+    factors = peel_into_basis(_sym_tensor_character(alpha, lam.n), schur_character)
+    assert factors.get(lam, 0) == expected
+
+
+def test_young_rule_is_kostka_duality():
+    """The coefficient of s_lam in h_alpha is the Kostka number K_(lam, alpha),
+    the coefficient of the monomial x^alpha in s_lam, for every composition
+    alpha of the degree."""
+    for n in (2, 3):
+        for d in range(6):
+            for alpha in compositions(d, n):
+                factors = peel_into_basis(_sym_tensor_character(alpha, n), schur_character)
+                for lam in partitions(d, n):
+                    assert factors.get(lam, 0) == schur_character(lam).coeff(alpha)
 
 
 def test_partitions_enumeration():
