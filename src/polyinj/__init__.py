@@ -11,7 +11,6 @@ from .characters import (
     Character,
     PeelError,
     character_from_json,
-    frobenius_twist,
     min_last_entry,
     peel_into_basis,
 )
@@ -26,7 +25,6 @@ from .gl2 import (
     divind_injective_oracle,
     injective_character,
     is_critical_closed,
-    is_critical_oracle,
     is_gm_injective,
     is_inf_injective_closed,
     is_inf_injective_inequality,
@@ -76,12 +74,10 @@ __all__ = [
     "divind_injective_oracle",
     "dominance_leq",
     "eadic_split",
-    "frobenius_twist",
     "h_character",
     "injective_character",
     "is_column_regular",
     "is_critical_closed",
-    "is_critical_oracle",
     "is_gm_injective",
     "is_inf_injective_closed",
     "is_inf_injective_inequality",

@@ -235,11 +235,6 @@ def character_from_json(obj, n=None):
     return Character(n, ((tuple(t["exponent"]), t["mult"]) for t in obj))
 
 
-def frobenius_twist(chi, factor):
-    """The character with every exponent scaled by ``factor``."""
-    return chi.twist(factor)
-
-
 def min_last_entry(chi):
     """Minimum last entry over the support of a genuine module character.
 

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import gl2, injectivity
-from .characters import Character, PeelError, frobenius_twist, min_last_entry, peel_into_basis
+from .characters import Character, PeelError, min_last_entry, peel_into_basis
 from .schur import _schur_ssyt, h_character, partitions, schur_character, schur_character_jt
 from .weights import GroupParams, Weight, digit_expansion, dominance_leq, eadic_split, is_column_regular, omega
 
@@ -245,7 +245,7 @@ def check_character_ring(res, deg_max):
             a, b = schur_character(lam), schur_character(mu)
             if a * b != b * a:
                 res.fail("product not commutative at %r, %r" % (lam, mu))
-            if frobenius_twist(a * b, 2) != frobenius_twist(a, 2) * frobenius_twist(b, 2):
+            if (a * b).twist(2) != a.twist(2) * b.twist(2):
                 res.fail("twist not multiplicative at %r, %r" % (lam, mu))
     # factor-level vs weight-level divisibility, through simple-basis peeling
     for lam, params in _sweep(res, min(deg_max, 7), (GroupParams(1, 2), GroupParams(2, 3))):
@@ -300,11 +300,14 @@ def check_divind_equivalence(res, deg_max, grid):
 
 
 def check_criticality_equivalence(res, deg_max, grid):
-    """Digit criticality test = symmetric-power oracle = (divind == 0)."""
+    """Digit criticality test = (oracle divind == 0) = (closed divind == 0).
+    The divisibility oracle at zero is the symmetric-power oracle: by
+    reciprocity the simple of highest weight lam lies in S^r E = induced(r, 0)
+    exactly when the least tau_2 of its column is 0."""
     for lam, params in _sweep(res, deg_max, grid):
         res.count()
         closed = gl2.is_critical_closed(lam, params)
-        oracle = gl2.is_critical_oracle(lam, params)
+        oracle = gl2.divind_injective_oracle(lam, params) == 0
         try:
             by_div = gl2.divind_injective_closed(lam, params) == 0
         except gl2.OracleMismatch as exc:
@@ -386,9 +389,10 @@ def check_simple_divind(res, deg_max, grid):
 
 
 def check_divisibility_shift(res, deg_max, grid):
-    """divind <= degree/2, and the injective character splits off exactly
-    divind determinant factors."""
-    det = Character.monomial((1, 1))
+    """divind <= degree/2, and the good filtration of the injective envelope
+    is that of lam - divind * omega with divind determinant factors added to
+    each tau.  Induced characters form a basis, so this is the character
+    identity I(lam) = det^divind * I(lam - divind * omega)."""
     for lam, params in _sweep(res, deg_max, grid):
         res.count()
         try:
@@ -399,9 +403,10 @@ def check_divisibility_shift(res, deg_max, grid):
         if 2 * m > lam.degree():
             res.fail("lam=%r %s: divind %d above degree/2" % (lam, params, m))
             continue
-        shifted = gl2.injective_character(lam - m * omega(2), params)
-        if gl2.injective_character(lam, params) != det ** m * shifted:
-            res.fail("lam=%r %s: injective character does not shift by det^%d" % (lam, params, m))
+        shift = m * omega(2)
+        shifted = [(tau + shift, k) for tau, k in gl2.decomposition_column(lam - shift, params)]
+        if gl2.decomposition_column(lam, params) != shifted:
+            res.fail("lam=%r %s: good filtration does not shift by det^%d" % (lam, params, m))
     return res
 
 

@@ -47,11 +47,14 @@ class UsageError(ValueError):
 # vector of degree + 1 coefficients.  TERM_LIMIT also bounds the printed
 # cells of a table, rows times (6 + --gm-max).  TABLE_ROW_LIMIT bounds the
 # rows of a table and COLUMN_ROW_LIMIT the lam_2 + 1 rows of the
-# decomposition column that --check and char injective solve.  A row costs
-# a few shifts of lam_2-bit ints per digit and two popcounts, whatever the
-# column's support, so the limit bounds time: the worst case, 8191,8191
-# at --l 1 --p 2 with all 8,192 rows nonzero, takes 0.22-0.23 s in a fresh
-# process (2-vCPU Xeon, Python 3.11).
+# decomposition column that --check and char injective solve.  classify
+# and divind count a column only under --check because unasked, classify
+# solves one only up to degree gl2.ORACLE_DEGREE_LIMIT, at most
+# ORACLE_DEGREE_LIMIT // 2 + 1 rows, which a test keeps within the limit.
+# A row costs a few shifts of lam_2-bit ints per digit and two popcounts,
+# whatever the column's support, so the limit bounds time: the worst case,
+# 8191,8191 at --l 1 --p 2 with all 8,192 rows nonzero, takes 0.22-0.23 s
+# in a fresh process (2-vCPU Xeon, Python 3.11).
 TERM_LIMIT = 10 ** 6
 TABLE_ROW_LIMIT = 50_000
 COLUMN_ROW_LIMIT = 2 ** 13

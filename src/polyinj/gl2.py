@@ -28,20 +28,21 @@ popcounts.  A column is its support, (tau, multiplicity) pairs by
 increasing tau_2: by reciprocity the good filtration of the injective
 envelope, and every oracle reads that one list (``quotient_column`` for
 the layer under the twist).  An injective character sums its induced
-modules as runs of ones, the divisibility index is its least tau_2, and a
-weight is critical when its first tau is (r, 0).  The simple vectors serve
-``simple_character``, the symmetric-power recursion and the peeling bases,
-so peeling against them and the columns are two independent evaluations of
-the tensor product theorem.  Only ``_vector_character`` builds a
-:class:`Character`; tableaux, dict peeling and the suites' dict arithmetic
-are the oracles for this path.
+modules as runs of ones, and the divisibility index is its least tau_2.
+The simple vectors serve ``simple_character``, the symmetric-power
+recursion and the peeling bases, so peeling against them and the columns
+are two independent evaluations of the tensor product theorem.  Only
+``_vector_character`` builds a :class:`Character`; tableaux, dict peeling
+and the suites' dict arithmetic are the oracles for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
 characters alone (decomposition of Schur characters into simple
-characters, reciprocity for injective multiplicities).  ``classify`` runs
-both and raises :class:`OracleMismatch` rather than return conflicting
-answers.
+characters, reciprocity for injective multiplicities).  Criticality's
+oracle is the divisibility oracle at zero: by reciprocity the simple lies
+in the symmetric power S^r E = induced(r, 0) exactly when the column's
+least tau_2 is 0.  ``classify`` runs both flavours and raises
+:class:`OracleMismatch` rather than return conflicting answers.
 
 The closed forms read one digit list, ``digit_expansion(lam).layers()``.
 A verdict expands the digits once: ``classify`` builds the list, passes
@@ -301,14 +302,6 @@ def is_critical_closed(lam, params):
     return _all_critical(_layers(_check_weight(lam), params))
 
 
-def is_critical_oracle(lam, params):
-    """Character oracle for criticality: the simple of highest weight ``lam``
-    appears in the symmetric power of its degree, h_r = s_(r,0): the first
-    factor of its column is (r, 0)."""
-    tau, _ = decomposition_column(lam, params)[0]
-    return tau[1] == 0
-
-
 # ---------------------------------------------------------------------------
 # divisibility index
 
@@ -551,18 +544,11 @@ def classify(lam, params, check=False):
         )
     checked = check or lam.degree() <= ORACLE_DEGREE_LIMIT
     if checked:
-        # one column serves both oracles: its least tau_2 is the divisibility
-        # index, and its first factor is (r, 0) exactly for a critical weight
-        column = decomposition_column(lam, params)
-        div_o = _least_tau2(column)
+        # criticality is tied to div == 0 above, so this oracle covers it too
+        div_o = divind_injective_oracle(lam, params)
         if div != div_o:
             raise OracleMismatch(
                 "divisibility index of %r at %s: closed %d vs oracle %d" % (lam, params, div, div_o)
-            )
-        crit_o = column[0][0][1] == 0
-        if crit != crit_o:
-            raise OracleMismatch(
-                "criticality of %r at %s: closed %r vs oracle %r" % (lam, params, crit, crit_o)
             )
         inf_o = is_inf_injective_inequality(lam, params)
         if inf != inf_o:

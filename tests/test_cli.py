@@ -6,6 +6,7 @@ import time
 import pytest
 
 from polyinj import checks, gl2, weights
+from polyinj.characters import Character
 from polyinj.cli import COLUMN_ROW_LIMIT, COMMANDS, main, render
 from polyinj.weights import GroupParams, Weight
 
@@ -174,6 +175,14 @@ def test_classify_check_at_the_column_row_budget():
     assert time.perf_counter() - t0 < 3
 
 
+def test_unasked_oracle_columns_fit_the_row_budget():
+    """classify solves a column unasked at every degree up to
+    ORACLE_DEGREE_LIMIT, and the CLI budgets columns only under --check, so
+    the deepest unasked column, lam_2 + 1 <= limit // 2 + 1 rows, must fit
+    the row budget whatever the limit is raised to."""
+    assert gl2.ORACLE_DEGREE_LIMIT // 2 + 1 <= COLUMN_ROW_LIMIT
+
+
 def test_classical_layer_reuses_q1_params(monkeypatch):
     """The classical layer is the parameters themselves at l=1 and one
     shared instance per p at l >= 2, so a cold checked classification tests
@@ -247,19 +256,35 @@ def test_table_json_matches_library():
         assert row["gm_flags"] == [gl2.is_gm_injective(lam, m, params) for m in (1, 2)]
 
 
-def test_selfcheck_reports_corrupted_closed_form(monkeypatch):
-    """A deliberately corrupted divisibility closed form must be caught and
-    named by the equivalence suite, with a nonzero exit."""
-    original = gl2._divind_formula
+def _divind_off_by_one(original):
+    return lambda layers: original(layers) + 1
 
-    def corrupted(layers):
-        value = original(layers)
-        return value + 1 if any(any(d) for d, _, _ in layers) else value  # degree > 0
 
-    monkeypatch.setattr(gl2, "_divind_formula", corrupted)
-    rc, out = run(["selfcheck", "--deg-max", "3", "--l", "1", "--p", "2"])
+def _column_doubled_at_row_3(original):
+    def corrupted(lam, params):
+        col = original(lam, params)
+        if lam[1] == 3:
+            col[-1] *= 2  # the pivot [induced(lam) : simple(lam)], 1 in truth
+        return col
+    return corrupted
+
+
+def _criticality_flipped_at_digit_21(original):
+    return lambda layers: original(layers) != (layers[0][0] == (2, 1))
+
+
+@pytest.mark.parametrize("attr, corrupt, suite", [
+    ("_divind_formula", _divind_off_by_one, "divind-equivalence"),
+    ("_column", _column_doubled_at_row_3, "divisibility-shift"),
+    ("_all_critical", _criticality_flipped_at_digit_21, "criticality-equivalence"),
+], ids=["divind-equivalence", "divisibility-shift", "criticality-equivalence"])
+def test_selfcheck_reports_corrupted_closed_form(monkeypatch, attr, corrupt, suite):
+    """A deliberately corrupted closed form or decomposition column must be
+    caught and named by the suite that compares it, with a nonzero exit."""
+    monkeypatch.setattr(gl2, attr, corrupt(getattr(gl2, attr)))
+    rc, out = run(["selfcheck", "--deg-max", "8", "--l", "1", "--p", "2"])
     assert rc == 2
-    assert any(line.startswith("FAIL") and "divind-equivalence" in line for line in out.split("\n"))
+    assert any(line.startswith("FAIL") and suite in line for line in out.split("\n"))
 
 
 def test_suite_result_counts_every_failure():
@@ -314,7 +339,7 @@ def test_suite_crash_mid_sweep_names_the_instance(monkeypatch):
     (checks, "min_last_entry", None,
      "FAIL  character-ring                     1 instances\n"
      "      suite crashed after 1 instances at (Weight(1, 1), Weight(1, 1))"),
-    (checks, "frobenius_twist", None,
+    (Character, "twist", None,
      "FAIL  character-ring                    26 instances\n"
      "      suite crashed after 26 instances at (Weight(2, 1), Weight(2, 1))"),
     # its simple-basis peeling names the product's two weights and their (l, p)
@@ -342,10 +367,6 @@ def test_rank_generic_suite_crash_names_the_weight(monkeypatch, module, attr, ba
     rc, out = run(["selfcheck", "--deg-max", "3", "--l", "1", "--p", "2"])
     assert rc == 2
     assert expected + ": RuntimeError('injected')" in out
-
-
-def _divind_off_by_one(original):
-    return lambda layers: original(layers) + 1
 
 
 def _no_simple_support(original):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinj import checks, cli, gl2
-from polyinj.characters import Character, PeelError, frobenius_twist, peel_into_basis
+from polyinj.characters import Character, PeelError, peel_into_basis
 from polyinj.checks import WIDE_GRID
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
@@ -18,7 +18,6 @@ from polyinj.gl2 import (
     divind_injective_oracle,
     injective_character,
     is_critical_closed,
-    is_critical_oracle,
     is_gm_injective,
     is_inf_injective_closed,
     is_inf_injective_inequality,
@@ -298,7 +297,7 @@ def test_vector_characters_match_dict_formulas_wide_grid():
                     bar = injective_character(desc.bar_weight, params.classical())
                 expected = (injective_character(desc.q_weight, params)
                             * Character.monomial((desc.det_power, desc.det_power))
-                            * frobenius_twist(bar, params.e))
+                            * bar.twist(params.e))
                 assert standard_form_character(desc, params) == expected, (lam, params)
         for r in range(61):
             assert sympow_character_recursive(r, params) == h_character(r, 2), (r, params)
@@ -342,13 +341,13 @@ def test_injective_character_examples():
 )
 def test_criticality(lam, params, expected):
     assert is_critical_closed(W(*lam), params) is expected
-    assert is_critical_oracle(W(*lam), params) is expected
+    assert (divind_injective_oracle(W(*lam), params) == 0) is expected
 
 
 def test_small_symmetric_powers_are_simple():
     for params in (P13, P32):
         for r in range(params.e):
-            assert is_critical_oracle(W(r, 0), params)
+            assert divind_injective_oracle(W(r, 0), params) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +587,10 @@ def test_classify_check_runs_the_oracles_above_the_limit(monkeypatch):
 
 
 def test_classify_check_reads_each_column_once(monkeypatch):
-    """classify(check=True) reads the weight's column once for both the
-    divisibility index and criticality; in positive characteristic the
-    injectivity inequality reads the quotient weight's column too."""
+    """classify(check=True) reads the weight's column once, for the
+    divisibility index, which criticality is tied to; in positive
+    characteristic the injectivity inequality reads the quotient weight's
+    column too."""
     calls = []
     original = gl2._column
 
@@ -683,9 +683,11 @@ def test_classify_consistency_bounds():
 
 
 def test_injective_character_determinant_shift():
+    """The dict-level oracle for the determinant shift that the
+    divisibility-shift suite checks on columns, at that suite's bound."""
     det = Character.monomial((1, 1))
-    for params in (P12, P22):
-        for r in range(10):
+    for params in checks.PARAM_GRID:
+        for r in range(checks.SUITES["divisibility-shift"][0] + 1):
             for lam in partitions(r, 2):
                 m = divind_injective_closed(lam, params)
                 shifted = injective_character(lam - m * omega(2), params)
