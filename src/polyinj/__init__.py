@@ -26,7 +26,6 @@ from .gl2 import (
     injective_character,
     is_critical_closed,
     is_gm_injective,
-    is_inf_injective_closed,
     is_inf_injective_inequality,
     simple_character,
     standard_form,
@@ -79,7 +78,6 @@ __all__ = [
     "is_column_regular",
     "is_critical_closed",
     "is_gm_injective",
-    "is_inf_injective_closed",
     "is_inf_injective_inequality",
     "min_last_entry",
     "omega",

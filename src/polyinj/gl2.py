@@ -32,8 +32,8 @@ modules as runs of ones, and the divisibility index is its least tau_2.
 The simple vectors serve ``simple_character``, the symmetric-power
 recursion and the peeling bases, so peeling against them and the columns
 are two independent evaluations of the tensor product theorem.  Only
-``_vector_character`` builds a :class:`Character`; tableaux, dict peeling
-and the suites' dict arithmetic are the oracles for this path.
+``_vector_character`` builds a :class:`Character`; tableaux and the dict
+peeling of ``peeling-soundness`` are the oracles for this path.
 
 Every classification routine comes in two flavours: a closed form driven
 by the digit pattern, and an oracle recomputing the same quantity from
@@ -43,6 +43,11 @@ oracle is the divisibility oracle at zero: by reciprocity the simple lies
 in the symmetric power S^r E = induced(r, 0) exactly when the column's
 least tau_2 is 0.  ``classify`` runs both flavours and raises
 :class:`OracleMismatch` rather than return conflicting answers.
+
+Each invariant is checked once, where its quantity is built, so every
+verdict meets it at any degree: ``_divind_closed`` bounds the index by
+degree/2, and ``_standard_form`` checks the reconstruction and Q on the
+Steinberg edge (q_1 = e - 1).  The suites compare closed forms with oracles.
 
 The closed forms read one digit list, ``digit_expansion(lam).layers()``.
 A verdict expands the digits once: ``classify`` builds the list, passes
@@ -340,8 +345,8 @@ def _divind_formula(layers):
 def divind_injective_closed(lam, params):
     """Divisibility index of the injective envelope of highest weight ``lam``,
     evaluated on one digit list by both the layer recursion, folded over the
-    digits, and the digit closed form; the two must agree or
-    :class:`OracleMismatch` is raised."""
+    digits, and the digit closed form; the two must agree, and the index be
+    at most degree/2, or :class:`OracleMismatch` is raised."""
     lam = _check_weight(lam)
     return _divind_closed(lam, params, _layers(lam, params))
 
@@ -354,6 +359,8 @@ def _divind_closed(lam, params, layers):
             "divisibility index of %r at %s: layer recursion says %d, closed form says %d"
             % (lam, params, by_layers, by_formula)
         )
+    if 2 * by_layers > lam.degree():
+        raise OracleMismatch("divisibility index %d of %r exceeds degree/2" % (by_layers, lam))
     return by_layers
 
 
@@ -384,12 +391,6 @@ def _kernel_depth(layers, params):
     return min(depth, 1) if params.p == 0 else depth
 
 
-def is_inf_injective_closed(lam, params):
-    """Digit-pattern test for injectivity over the first Frobenius kernel:
-    the quantum digit clears e-1, or the quotient layer is not critical."""
-    return _kernel_depth(_layers(_check_weight(lam), params), params) >= 1
-
-
 def is_inf_injective_inequality(lam, params):
     """Index-inequality test for injectivity over the first Frobenius kernel,
     with the quotient layer's divisibility index computed by the character
@@ -409,7 +410,8 @@ class FactorizationDescriptor:
     """Standard tensor form of an infinitesimally injective envelope:
     a first-kernel injective Q(q_weight), det_power determinant factors, and
     a Frobenius-twisted injective with classical highest weight bar_weight.
-    Always q_weight + det_power * omega + e * bar_weight = lam."""
+    Always q_weight + det_power * omega + e * bar_weight = lam, and
+    q_weight[0] == e - 1: Q sits on the Steinberg edge."""
 
     q_weight: Weight
     det_power: int
@@ -451,6 +453,9 @@ def _standard_form(lam, params, m):
         )
     if reconstruct_weight(desc, params) != lam:
         raise OracleMismatch("standard form of %r at %s does not reconstruct" % (lam, params))
+    if desc.q_weight[0] != e - 1:
+        raise OracleMismatch("standard form of %r at %s: Q-weight %r off the Steinberg edge"
+                             % (lam, params, desc.q_weight))
     return desc
 
 
@@ -461,10 +466,13 @@ def reconstruct_weight(desc, params):
 def standard_form_character(desc, params):
     """Character of the standard tensor form: first-kernel injective times
     determinant power times the twisted classical injective character."""
+    return _vector_character(_standard_form_vector(desc, params))
+
+
+def _standard_form_vector(desc, params):
     bar = _induced_sum(quotient_column(desc.bar_weight, params))
     q = _induced_sum(decomposition_column(desc.q_weight, params))
-    prod = _twisted_product(bar, params.e, q)
-    return _vector_character(_det(desc.det_power, prod))
+    return _det(desc.det_power, _twisted_product(bar, params.e, q))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +545,6 @@ def classify(lam, params, check=False):
     if crit != (div == 0):
         raise OracleMismatch(
             "criticality of %r at %s inconsistent with divisibility index %d" % (lam, params, div)
-        )
-    if 2 * div > lam.degree():
-        raise OracleMismatch(
-            "divisibility index %d of %r exceeds degree/2" % (div, lam)
         )
     checked = check or lam.degree() <= ORACLE_DEGREE_LIMIT
     if checked:

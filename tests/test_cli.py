@@ -373,16 +373,21 @@ def _no_simple_support(original):
     return lambda n, e, p, width: 0
 
 
-@pytest.mark.parametrize("attr, corrupt, argv", [
-    ("_divind_formula", _divind_off_by_one, ["divind", "--weight", "2,1", "--l", "1", "--p", "2"]),
+@pytest.mark.parametrize("corruptions, argv", [
+    ([("_divind_formula", _divind_off_by_one)], ["divind", "--weight", "2,1", "--l", "1", "--p", "2"]),
     # a column that cannot be solved is an oracle failure too, not a usage error
-    ("_simple_support", _no_simple_support,
+    ([("_simple_support", _no_simple_support)],
      ["classify", "--weight", "5,2", "--l", "1", "--p", "2", "--check"]),
-    ("_simple_support", _no_simple_support,
+    ([("_simple_support", _no_simple_support)],
      ["char", "injective", "--weight", "5,2", "--l", "1", "--p", "2"]),
-], ids=["divind", "classify-check", "char-injective"])
-def test_oracle_mismatch_exit_code(monkeypatch, capsys, attr, corrupt, argv):
-    monkeypatch.setattr(gl2, attr, corrupt(getattr(gl2, attr)))
+    # both divind forms off alike, above the oracle degree limit: only the
+    # Steinberg edge of the standard form catches them
+    ([("_divind_by_layers", _divind_off_by_one), ("_divind_formula", _divind_off_by_one)],
+     ["classify", "--weight", "1000000234567,300000000089", "--l", "3", "--p", "2"]),
+], ids=["divind", "classify-check", "char-injective", "classify-steinberg-edge"])
+def test_oracle_mismatch_exit_code(monkeypatch, capsys, corruptions, argv):
+    for attr, corrupt in corruptions:
+        monkeypatch.setattr(gl2, attr, corrupt(getattr(gl2, attr)))
     rc, _ = run(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("oracle disagreement: ")

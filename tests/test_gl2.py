@@ -19,7 +19,6 @@ from polyinj.gl2 import (
     injective_character,
     is_critical_closed,
     is_gm_injective,
-    is_inf_injective_closed,
     is_inf_injective_inequality,
     reconstruct_weight,
     simple_character,
@@ -288,7 +287,7 @@ def test_vector_characters_match_dict_formulas_wide_grid():
                 for tau, m in gl2.decomposition_column(lam, params):
                     expected = expected + m * schur_character(tau)
                 assert injective_character(lam, params) == expected, (lam, params)
-                if not is_inf_injective_closed(lam, params):
+                if not is_gm_injective(lam, 1, params):
                     continue
                 desc = standard_form(lam, params)
                 if params.p == 0:
@@ -448,7 +447,7 @@ def test_layer_fold_matches_quotient_walk():
     ],
 )
 def test_inf_injective(lam, params, expected):
-    assert is_inf_injective_closed(W(*lam), params) is expected
+    assert is_gm_injective(W(*lam), 1, params) is expected
     assert is_inf_injective_inequality(W(*lam), params) is expected
 
 
@@ -487,7 +486,7 @@ def test_standard_form_small_branch():
     for params in (P32, GroupParams(3, 0)):
         for r in range(16):
             for lam in partitions(r, 2):
-                if not is_inf_injective_closed(lam, params):
+                if not is_gm_injective(lam, 1, params):
                     continue
                 desc = standard_form(lam, params)
                 assert reconstruct_weight(desc, params) == lam
@@ -532,7 +531,7 @@ def test_gm_injective_quantum_reduces_to_classical():
     # classical (m-1)-th kernel test of the quotient
     lam = W(7, 2)  # quantum digit (1,0), quotient (3,1)
     for m in (1, 2, 3):
-        expected = is_inf_injective_closed(lam, P22) and (
+        expected = is_gm_injective(lam, 1, P22) and (
             m == 1 or is_gm_injective(W(3, 1), m - 1, P12)
         )
         assert is_gm_injective(lam, m, P22) is expected
@@ -624,7 +623,7 @@ def test_necessary_inequality_reads_one_column_per_weight(monkeypatch):
         assert result.ok and result.instances > 0, result.failures
         expected = [(eadic_split(lam, params.e)[1], params.classical())
                     for r in range(31) for lam in partitions(r, 2)
-                    if params.p and is_inf_injective_closed(lam, params)]
+                    if params.p and is_gm_injective(lam, 1, params)]
         assert calls == expected
         assert len(calls) == (result.instances if params.p else 0)
 
@@ -642,7 +641,7 @@ def test_quotient_layer_is_read_from_quotient_column(monkeypatch):
 
     monkeypatch.setattr(gl2, "quotient_column", counted)
     for params in (P12, P20):
-        lam = next(lam for lam in partitions(9, 2) if is_inf_injective_closed(lam, params))
+        lam = next(lam for lam in partitions(9, 2) if is_gm_injective(lam, 1, params))
         calls.clear()
         is_inf_injective_inequality(lam, params)
         assert calls == [(eadic_split(lam, params.e)[1], params)]
@@ -676,6 +675,31 @@ def test_classify_consistency_bounds():
                 assert cls.critical == (cls.divind == 0)
                 assert 2 * cls.divind <= lam.degree()
                 assert (cls.standard_form is not None) == cls.inf_injective
+
+
+def _divind_off_by_one(original):
+    return lambda layers: original(layers) + 1
+
+
+def _divind_past_half_degree(original):
+    """One more than the degree, which exceeds degree/2 at every weight."""
+    return lambda layers: 1 + sum(scale * d.degree() for d, _, scale in layers)
+
+
+@pytest.mark.parametrize("corrupt, verdict, message", [
+    (_divind_off_by_one, lambda: classify(W(10 ** 12 + 234567, 3 * 10 ** 11 + 89), P32),
+     "off the Steinberg edge"),
+    (_divind_past_half_degree, lambda: divind_injective_closed(W(5, 2), P12),
+     "exceeds degree/2"),
+], ids=["steinberg-edge", "half-degree"])
+def test_agreeing_divind_forms_still_meet_the_invariants(monkeypatch, corrupt, verdict, message):
+    """The layer recursion and the closed form corrupted alike agree with
+    each other, and no oracle runs on these calls, so only the invariants
+    checked where the index and the standard form are built can raise."""
+    for attr in ("_divind_by_layers", "_divind_formula"):
+        monkeypatch.setattr(gl2, attr, corrupt(getattr(gl2, attr)))
+    with pytest.raises(gl2.OracleMismatch, match=message):
+        verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +756,6 @@ def test_closed_forms_hold_at_random_degrees(case):
     # its own, and both must give the same verdict
     assert cls.divind == divind_injective_closed(lam, params)
     assert cls.critical == is_critical_closed(lam, params)
-    assert cls.inf_injective == is_inf_injective_closed(lam, params)
     if cls.inf_injective:
         assert cls.standard_form == standard_form(lam, params)
     # a table row's kernel flags come off that list too

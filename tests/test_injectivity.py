@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polyinj import gl2
@@ -99,6 +101,23 @@ def test_necessary_condition_checks_factors_as_divind_does():
             divind_from_factors([(W(2, 0), 1), bad])
 
 
+def test_necessary_condition_is_the_criterion_at_the_least_tau():
+    """On a nonempty valid factor list, the necessary inequality is the
+    injectivity criterion fed the list's divisibility index: every tau
+    clears the bound exactly when the one with the least last entry does."""
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(4800):
+        n, e = rng.randint(1, 4), rng.choice((2, 3, 5, 7))
+        lam0 = Weight(sorted((rng.randint(0, 3 * e) for _ in range(n)), reverse=True))
+        factors = [(Weight(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True)),
+                    rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        expected = injectivity_criterion(lam0[0], divind_from_factors(factors), n, e)
+        assert necessary_condition(lam0, factors, e) == expected, (lam0, factors, e)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_necessary_condition_semisimple():
     # only tau = lbar contributes, and its last entry is nonnegative
     for n in (2, 3):
@@ -158,4 +177,4 @@ def test_criterion_matches_rank2_digit_test():
                     bar_div = lbar[1]
                 else:
                     bar_div = gl2.divind_injective_oracle(lbar, params.classical())
-                assert injectivity_criterion(lam0[0], bar_div, 2, params.e) == gl2.is_inf_injective_closed(lam, params)
+                assert injectivity_criterion(lam0[0], bar_div, 2, params.e) == gl2.is_gm_injective(lam, 1, params)
