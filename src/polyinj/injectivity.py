@@ -1,19 +1,20 @@
-"""Rank-generic injectivity criteria.
+"""Rank-generic injectivity criterion.
 
 The first-kernel injectivity of an injective envelope is governed by one
 inequality in the column-regular digit of its highest weight and the
-divisibility index of the quotient layer: the least last entry among the
-highest weights tau of the good filtration of the quotient-layer
-injective.  Everything here is a pure function of those inputs, every
-good filtration given in one shape, (tau, multiplicity) pairs: rank 2
-reads them off a decomposition column (see :mod:`.gl2`), characteristic
-zero is semisimple at every rank (the list is [(lbar, 1)]), and other
-ranks can supply their own.
+divisibility index of the quotient layer, :func:`injectivity_criterion`.
+:func:`steinberg_range` is the case where the digit alone clears the
+bound.  :func:`divind_from_factors` reads the index off the good
+filtration of the quotient-layer injective, given as (tau, multiplicity)
+pairs: the least last entry among the taus.  Rank 2 reads such a list off
+a decomposition column (see :mod:`.gl2`), characteristic zero is
+semisimple at every rank (the list is [(lbar, 1)]), and other ranks can
+supply their own.
 """
 
 from __future__ import annotations
 
-from .weights import Weight, delta, is_column_regular
+from .weights import Weight, is_column_regular
 
 
 def injectivity_criterion(lam0_first, divind_bar, n, e):
@@ -34,22 +35,11 @@ def steinberg_range(lam0, e):
     return lam0[0] >= (lam0.n - 1) * (e - 1)
 
 
-def steinberg_complement(lam0, e):
-    """The weight mu with lam0 = (e-1)*delta + w0(mu), defined exactly when
-    ``lam0`` is column e-regular and in the Steinberg range; None otherwise.
-    The output is again column e-regular."""
-    lam0 = Weight(lam0)
-    if not is_column_regular(lam0, e):
-        return None
-    if lam0[0] < (lam0.n - 1) * (e - 1):
-        return None
-    return (lam0 - (e - 1) * delta(lam0.n)).reversed()
-
-
-def _factor_weights(factors, n=None):
+def _factor_weights(factors):
     """The taus of a factor list [(tau, multiplicity), ...], each checked to
-    be a partition of rank ``n`` (default the first's) with multiplicity >= 1."""
+    be a partition of the first's rank with multiplicity >= 1."""
     taus = []
+    n = None
     for tau, m in factors:
         tau = Weight(tau)
         n = tau.n if n is None else n
@@ -57,18 +47,6 @@ def _factor_weights(factors, n=None):
             raise ValueError("bad factor (%r, %r)" % (tau, m))
         taus.append(tau)
     return taus
-
-
-def necessary_condition(lam0, factors, e):
-    """Necessary inequality for infinitesimal injectivity: every highest
-    weight tau in ``factors``, the good filtration of the quotient-layer
-    injective, satisfies lam0_1 + e*tau_n >= (n-1)(e-1).
-
-    A consistency check, never a classifier.
-    """
-    lam0 = Weight(lam0)
-    bound = (lam0.n - 1) * (e - 1)
-    return all(lam0[0] + e * tau[-1] >= bound for tau in _factor_weights(factors, lam0.n))
 
 
 def divind_from_factors(factors):

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from polyinj import checks
+from polyinj import checks, gl2
 from polyinj.gl2 import is_gm_injective
+from polyinj.schur import partitions
 from polyinj.weights import GroupParams, Weight
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
@@ -137,6 +138,69 @@ def test_registry_is_complete(monkeypatch):
     assert all(handed is returned is res for (handed, returned), res in zip(calls, results))
 
 
+# ---------------------------------------------------------------------------
+# the kill matrix: a seeded fault is caught by the suites that claim it
+
+
+def _partitions_drop_last_rank3(monkeypatch):
+    original = checks.partitions
+    monkeypatch.setattr(checks, "partitions",
+                        lambda r, n: original(r, n)[:-1] if n == 3 else original(r, n))
+
+
+def _criterion_strict(monkeypatch):
+    monkeypatch.setattr(gl2, "injectivity_criterion",
+                        lambda first, divind, n, e: first + e * divind > (n - 1) * (e - 1))
+
+
+def _simple_zero_lowest(monkeypatch):
+    original = gl2._simple_character  # memoized; its recursion reads the patched name
+
+    def mutant(n, params):
+        v = original(n, params)
+        return (0,) + v[1:] if params.p > 0 else v
+
+    monkeypatch.setattr(gl2, "_simple_character", mutant)
+
+
+@pytest.fixture
+def fresh_gl2_memos(monkeypatch):
+    """Empty the rank-2 character memos before a mutant runs and after, so
+    no mutated vector outlives the test."""
+    memos = (gl2._simple_character, gl2._sympow_recursive)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("mutate, killers", [
+    (_partitions_drop_last_rank3, {"dominance-order"}),
+    (_criterion_strict, {"injectivity-equivalence", "higher-kernels"}),
+    (_simple_zero_lowest, {"character-ring", "sympow-recursion", "peeling-soundness"}),
+], ids=["partitions-drop-last-rank3", "criterion-strict", "simple-zero-lowest"])
+def test_mutant_is_killed(mutate, killers, monkeypatch, fresh_gl2_memos):
+    """``selfcheck --deg-max 40`` on the parameter grid fails exactly the
+    suites named for each seeded fault (unmutated, it fails none: the
+    golden ``selfcheck`` line)."""
+    mutate(monkeypatch)
+    failed = {res.name for res in checks.run_all(40) if not res.ok}
+    assert failed == killers
+
+
+def test_dominance_order_counts_every_slice(monkeypatch):
+    """The dominance-order suite holds every partitions(r, n) slice to a
+    count built without partitions: dropping the last rank-3 weight fails
+    it once at each degree r = 0..12."""
+    _partitions_drop_last_rank3(monkeypatch)
+    res = checks.run_suite("dominance-order", 12, None)
+    assert res.failure_count == 13
+    counts = [len(partitions(r, 3)) for r in range(5)]
+    assert res.failures == ["partitions(%d, 3) has %d weights, not %d" % (r, c - 1, c)
+                            for r, c in enumerate(counts)]
+
+
 def test_higher_kernel_monotonicity_and_instance():
     """Injectivity over a deeper Frobenius kernel implies injectivity over
     the shallower ones on the kernel grid, classical and quantum parameter
@@ -151,11 +215,10 @@ def test_higher_kernel_monotonicity_and_instance():
 
 
 def test_table_output_deterministic():
-    """`table` at the table-determinism bound is byte-identical across fresh
-    interpreter runs under different hash seeds (in-process re-rendering is
-    the suite itself; row generation is sequential and sorted, so thread
-    count cannot influence it)."""
-    deg_max = str(checks.SUITES["table-determinism"][0])
+    """`table` at degree 15 is byte-identical across fresh interpreter runs
+    under different hash seeds (row generation is sequential and sorted, so
+    thread count cannot influence it)."""
+    deg_max = "15"
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = {}
     for fmt in ("text", "csv"):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinj import checks, cli, gl2
-from polyinj.characters import Character, PeelError, peel_into_basis
-from polyinj.checks import WIDE_GRID
+from polyinj.characters import Character, PeelError, min_last_entry, peel_into_basis
+from polyinj.checks import PARAM_GRID, WIDE_GRID
 from polyinj.gl2 import (
     TOP_DIGIT_LARGE,
     TOP_DIGIT_SMALL,
@@ -60,6 +60,17 @@ def test_simple_character_highest_weight_multiplicity_one():
         for r in range(12):
             for lam in partitions(r, 2):
                 assert simple_character(lam, params).coeff(lam) == 1
+
+
+@pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+def test_simple_and_induced_characters_have_divisibility_lam2(params):
+    """The lowest term of the simple character of lam, like that of the
+    induced (Schur) character, is the determinant shift lam_2: both have
+    divisibility index lam_2, up to degree 20."""
+    for r in range(21):
+        for lam in partitions(r, 2):
+            assert min_last_entry(simple_character(lam, params)) == lam[1], lam
+            assert min_last_entry(schur_character(lam)) == lam[1], lam
 
 
 def test_simple_character_rejects_bad_weights():
@@ -605,33 +616,10 @@ def test_classify_check_reads_each_column_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_necessary_inequality_reads_one_column_per_weight(monkeypatch):
-    """The necessary-inequality suite solves one column per infinitesimally
-    injective weight it checks in positive characteristic, that of the
-    quotient weight at the classical parameters, and none at p = 0."""
-    calls = []
-    original = gl2._column
-
-    def counted(lam, params):
-        calls.append((lam, params))
-        return original(lam, params)
-
-    monkeypatch.setattr(gl2, "_column", counted)
-    for params in checks.PARAM_GRID:
-        calls.clear()
-        result = checks.run_suite("necessary-inequality", 30, (params,))
-        assert result.ok and result.instances > 0, result.failures
-        expected = [(eadic_split(lam, params.e)[1], params.classical())
-                    for r in range(31) for lam in partitions(r, 2)
-                    if params.p and is_gm_injective(lam, 1, params)]
-        assert calls == expected
-        assert len(calls) == (result.instances if params.p else 0)
-
-
 def test_quotient_layer_is_read_from_quotient_column(monkeypatch):
-    """The injectivity inequality, the standard-form character and the
-    necessary-inequality suite each take the layer under the twist from
-    quotient_column, in characteristic zero as in positive characteristic."""
+    """The injectivity inequality and the standard-form character each take
+    the layer under the twist from quotient_column, in characteristic zero
+    as in positive characteristic."""
     calls = []
     original = gl2.quotient_column
 
@@ -649,9 +637,6 @@ def test_quotient_layer_is_read_from_quotient_column(monkeypatch):
         desc = standard_form(lam, params)
         standard_form_character(desc, params)
         assert calls == [(desc.bar_weight, params)]
-        calls.clear()
-        result = checks.run_suite("necessary-inequality", 9, (params,))
-        assert result.ok and len(calls) == result.instances > 0, result.failures
 
 
 def test_gm_flags_match_kernel_tests():
